@@ -495,7 +495,7 @@ mod tests {
         let heap = Heap::new(StmConfig::default());
         let s = shape(&heap);
         let o = heap.alloc_public(s);
-        heap.guard(o).store_raw(RecWord::exclusive(OwnerToken::from_id(42)));
+        heap.guard(o, heap.obj(o)).store_raw(RecWord::exclusive(OwnerToken::from_id(42)));
         let report = heap.audit();
         assert!(matches!(
             report.findings.as_slice(),
@@ -510,7 +510,7 @@ mod tests {
         let heap = Heap::new(StmConfig::default());
         let s = shape(&heap);
         let o = heap.alloc_public(s);
-        heap.guard(o).bit_test_and_reset().unwrap();
+        heap.guard(o, heap.obj(o)).bit_test_and_reset().unwrap();
         let report = heap.audit();
         assert!(matches!(
             report.findings.as_slice(),
@@ -525,7 +525,7 @@ mod tests {
         let o = heap.alloc_public(s);
         atomic(&heap, |tx| tx.write(o, 0, 1));
         heap.audit().assert_clean();
-        heap.guard(o).store_raw(RecWord::shared(1));
+        heap.guard(o, heap.obj(o)).store_raw(RecWord::shared(1));
         let report = heap.audit();
         assert!(matches!(
             report.findings.as_slice(),
@@ -559,7 +559,7 @@ mod tests {
         );
         let s = shape(&heap);
         let o = heap.alloc_public(s);
-        heap.guard(o).store_raw(RecWord::exclusive(OwnerToken::from_id(7)));
+        heap.guard(o, heap.obj(o)).store_raw(RecWord::exclusive(OwnerToken::from_id(7)));
         let report = heap.audit();
         assert!(matches!(
             report.findings.as_slice(),

@@ -39,7 +39,7 @@
 use crate::contention::{resolve, ConflictSite};
 use crate::cost::{charge, CostKind};
 use crate::dea;
-use crate::heap::{Heap, ObjRef, RaceAccess, Word};
+use crate::heap::{Heap, Obj, ObjRef, RaceAccess, Word};
 use crate::syncpoint::SyncPoint;
 use crate::txnrec::RecWord;
 use std::sync::atomic::Ordering;
@@ -66,7 +66,7 @@ pub fn read_barrier(heap: &Heap, r: ObjRef, field: usize) -> Word {
     let obj = heap.obj(r);
     let mut attempt = 0u32;
     loop {
-        let rec = heap.guard_load(r);
+        let rec = heap.guard_load(r, obj);
         // DEA private fast path (optional; see module docs).
         if heap.config.dea && rec.is_private() {
             heap.stats.private_fast_path();
@@ -76,7 +76,7 @@ pub fn read_barrier(heap: &Heap, r: ObjRef, field: usize) -> Word {
         // Acquire ordering on the data load keeps the recheck from being
         // reordered before it.
         let val = obj.field(field).load(Ordering::Acquire);
-        if rec.read_bit_ok() && heap.guard_load(r) == rec {
+        if rec.read_bit_ok() && heap.guard_load(r, obj) == rec {
             heap.stats.read_barrier();
             charge(CostKind::BarrierRead);
             if attempt > 0 {
@@ -106,7 +106,7 @@ pub fn ordering_read_barrier(heap: &Heap, r: ObjRef, field: usize) -> Word {
     loop {
         // Private records have bit 1 set, so (in striped+DEA mode, where
         // `guard_load` folds privacy in) they pass the owner test below.
-        let rec = heap.guard_load(r);
+        let rec = heap.guard_load(r, obj);
         if rec.read_bit_ok() {
             heap.stats.read_barrier();
             charge(CostKind::BarrierRead);
@@ -155,7 +155,7 @@ fn write_barrier_inner(heap: &Heap, r: ObjRef, field: usize, value: Word, ord: O
     let obj = heap.obj(r);
     let mut attempt = 0u32;
     loop {
-        let rec = heap.guard_load(r);
+        let rec = heap.guard_load(r, obj);
         if rec.is_private() {
             // Private fast path: the object is visible only to this thread,
             // so a plain store needs no synchronization at all. A reference
@@ -168,12 +168,13 @@ fn write_barrier_inner(heap: &Heap, r: ObjRef, field: usize, value: Word, ord: O
         }
         // Records never become private (and striped slots carry no privacy
         // at all), so after the check above BTR on the guard is safe.
-        match heap.guard(r).bit_test_and_reset() {
+        let guard = heap.guard(r, obj);
+        match guard.bit_test_and_reset() {
             Ok(prior) => {
                 heap.hit(SyncPoint::BarrierWriteAcquired);
                 // Publication check (reference types only): the object is
                 // public, so a private object written into it escapes now.
-                if heap.field_is_ref(r, field) {
+                if heap.slot_is_ref(obj.kind, field) {
                     dea::publish_word(heap, value);
                 }
                 // Multiversion: the overwritten value is this field's
@@ -203,7 +204,7 @@ fn write_barrier_inner(heap: &Heap, r: ObjRef, field: usize, value: Word, ord: O
                     // visibility; a gap wedges later publishers).
                     heap.clock_publish(tick);
                 }
-                heap.guard(r).release_anon_at(stamp as usize);
+                guard.release_anon_at(stamp as usize);
                 heap.stats.write_barrier();
                 charge(CostKind::BarrierWrite);
                 if attempt > 0 {
@@ -228,6 +229,7 @@ fn write_barrier_inner(heap: &Heap, r: ObjRef, field: usize, value: Word, ord: O
 pub struct OwnedObj<'h> {
     heap: &'h Heap,
     r: ObjRef,
+    obj: &'h Obj,
     private: bool,
     /// Fields written through this aggregate (multiversion heaps only):
     /// their committed values are installed into the version rings at
@@ -240,14 +242,14 @@ impl<'h> OwnedObj<'h> {
     /// already owns the record.
     #[inline]
     pub fn get(&self, field: usize) -> Word {
-        self.heap.obj(self.r).field(field).load(Ordering::Relaxed)
+        self.obj.field(field).load(Ordering::Relaxed)
     }
 
     /// Writes a field, publishing referenced private objects when the
     /// containing object is public.
     #[inline]
     pub fn set(&mut self, field: usize, value: Word) {
-        if !self.private && self.heap.field_is_ref(self.r, field) {
+        if !self.private && self.heap.slot_is_ref(self.obj.kind, field) {
             dea::publish_word(self.heap, value);
         }
         if !self.private && self.heap.mv_enabled() {
@@ -256,12 +258,12 @@ impl<'h> OwnedObj<'h> {
             // for the release-time install. BTR preserved the guard's last
             // release stamp in the held word — the pre-image has been
             // current since then.
-            let pre = self.heap.obj(self.r).field(field).load(Ordering::Relaxed);
-            let since = self.heap.guard_load(self.r).version() as u64;
+            let pre = self.obj.field(field).load(Ordering::Relaxed);
+            let since = self.heap.guard_load(self.r, self.obj).version() as u64;
             self.heap.mv_seed(self.r, field, since, pre);
             self.mv_written.push(field);
         }
-        self.heap.obj(self.r).field(field).store(value, Ordering::Relaxed);
+        self.obj.field(field).store(value, Ordering::Relaxed);
     }
 
     /// The object this barrier owns.
@@ -278,21 +280,23 @@ impl<'h> OwnedObj<'h> {
 /// a whole: a private object's aggregated barrier performs no
 /// synchronization at all.
 pub fn aggregate<R>(heap: &Heap, r: ObjRef, f: impl FnOnce(&mut OwnedObj<'_>) -> R) -> R {
+    let obj = heap.obj(r);
     let mut attempt = 0u32;
     loop {
-        let rec = heap.guard_load(r);
+        let rec = heap.guard_load(r, obj);
         if rec.is_private() {
             heap.stats.private_fast_path();
             charge(CostKind::BarrierPrivateFast);
-            let mut owned = OwnedObj { heap, r, private: true, mv_written: Vec::new() };
+            let mut owned = OwnedObj { heap, r, obj, private: true, mv_written: Vec::new() };
             return f(&mut owned);
         }
-        match heap.guard(r).bit_test_and_reset() {
+        let guard = heap.guard(r, obj);
+        match guard.bit_test_and_reset() {
             Ok(prior) => {
                 heap.hit(SyncPoint::BarrierWriteAcquired);
                 charge(CostKind::BarrierAggregated);
                 heap.stats.write_barrier();
-                let mut owned = OwnedObj { heap, r, private: false, mv_written: Vec::new() };
+                let mut owned = OwnedObj { heap, r, obj, private: false, mv_written: Vec::new() };
                 let out = f(&mut owned);
                 // Aggregated barriers may write (and the non-mv heap has no
                 // record of whether this one did), so every release draws a
@@ -303,7 +307,7 @@ pub fn aggregate<R>(heap: &Heap, r: ObjRef, f: impl FnOnce(&mut OwnedObj<'_>) ->
                 let tick = heap.clock_tick();
                 let stamp = tick.max(prior.version() as u64 + 1);
                 for &field in &owned.mv_written {
-                    let val = heap.obj(r).field(field).load(Ordering::Relaxed);
+                    let val = obj.field(field).load(Ordering::Relaxed);
                     heap.mv_install(r, field, stamp, val);
                 }
                 if heap.mv_enabled() {
@@ -312,7 +316,7 @@ pub fn aggregate<R>(heap: &Heap, r: ObjRef, f: impl FnOnce(&mut OwnedObj<'_>) ->
                     // gap.
                     heap.clock_publish(tick);
                 }
-                heap.guard(r).release_anon_at(stamp as usize);
+                guard.release_anon_at(stamp as usize);
                 if attempt > 0 {
                     heap.stats.record_wait_span(attempt);
                 }
@@ -365,7 +369,7 @@ pub fn write_access(
 /// Detects conflicts between two non-transactional writers (paper §3.2
 /// footnote: inspect only the lowest bit). Used by tests.
 pub fn record_snapshot(heap: &Heap, r: ObjRef) -> RecWord {
-    heap.guard_load(r)
+    heap.guard_load(r, heap.obj(r))
 }
 
 #[cfg(test)]
@@ -474,14 +478,14 @@ mod tests {
         heap.write_raw(o, 0, 7);
         let rec_prior = record_snapshot(&heap, o);
         let owner = heap.fresh_owner();
-        heap.guard(o).try_acquire_txn(rec_prior, owner).unwrap();
+        heap.guard(o, heap.obj(o)).try_acquire_txn(rec_prior, owner).unwrap();
 
         let heap2 = Arc::clone(&heap);
         let reader = std::thread::spawn(move || read_barrier(&heap2, o, 0));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!reader.is_finished(), "reader must wait on exclusive owner");
         heap.write_raw(o, 0, 8);
-        heap.guard(o).release_txn(rec_prior);
+        heap.guard(o, heap.obj(o)).release_txn(rec_prior);
         assert_eq!(reader.join().unwrap(), 8);
         assert!(heap.stats().snapshot().conflict_waits > 0);
     }
@@ -491,7 +495,7 @@ mod tests {
         let heap = heap_with(false);
         let s = node(&heap);
         let o = heap.alloc(s);
-        heap.guard(o).bit_test_and_reset().unwrap();
+        heap.guard(o, heap.obj(o)).bit_test_and_reset().unwrap();
         assert_eq!(
             record_snapshot(&heap, o).state(),
             RecState::ExclusiveAnon { version: 1 }
@@ -500,7 +504,7 @@ mod tests {
         let writer = std::thread::spawn(move || write_barrier(&heap2, o, 0, 42));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!writer.is_finished());
-        heap.guard(o).release_anon();
+        heap.guard(o, heap.obj(o)).release_anon();
         writer.join().unwrap();
         assert_eq!(heap.read_raw(o, 0), 42);
     }

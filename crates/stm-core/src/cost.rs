@@ -7,9 +7,9 @@
 //! [`CostHook`]; every interesting STM operation reports a [`CostKind`]
 //! through [`charge`], which the simulator converts into virtual cycles and
 //! scheduling points. When no hook is installed (normal native execution)
-//! `charge` is a single thread-local null check.
+//! `charge` is a single thread-local flag load.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Categories of chargeable STM work. The simulator maps each to a cycle
@@ -71,22 +71,34 @@ pub trait CostHook: Send + Sync {
 
 thread_local! {
     static HOOK: RefCell<Option<Arc<dyn CostHook>>> = const { RefCell::new(None) };
+    /// Whether [`HOOK`] holds a hook; kept in step by [`set_thread_hook`]
+    /// so the unhooked [`charge`] never touches the `RefCell`.
+    static HOOKED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs `hook` as the current thread's cost sink, returning the previous
 /// one. The simulator installs a hook in every virtual thread it hosts.
 pub fn set_thread_hook(hook: Option<Arc<dyn CostHook>>) -> Option<Arc<dyn CostHook>> {
+    HOOKED.with(|f| f.set(hook.is_some()));
     HOOK.with(|h| std::mem::replace(&mut *h.borrow_mut(), hook))
 }
 
 /// True if the current thread has a cost hook installed.
 pub fn has_hook() -> bool {
-    HOOK.with(|h| h.borrow().is_some())
+    HOOKED.with(Cell::get)
 }
 
 /// Reports `kind` to the current thread's hook, if any.
 #[inline]
 pub fn charge(kind: CostKind) {
+    if HOOKED.with(Cell::get) {
+        charge_hook(kind);
+    }
+}
+
+/// Out of line so the unhooked [`charge`] stays a flag test when inlined.
+#[inline(never)]
+fn charge_hook(kind: CostKind) {
     HOOK.with(|h| {
         if let Some(hook) = h.borrow().as_ref() {
             hook.charge(kind);

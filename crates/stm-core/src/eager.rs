@@ -111,11 +111,12 @@ impl<'h> EagerTxn<'h> {
     pub(crate) fn write(&mut self, r: ObjRef, field: usize, value: Word) -> TxResult<()> {
         self.open_write(r, field)?;
         let heap = self.heap();
-        let obj_private = heap.is_private(r);
-        if !obj_private && heap.config.dea && heap.field_is_ref(r, field) {
+        let obj = heap.obj(r);
+        let obj_private = obj.rec.load_relaxed().is_private();
+        if !obj_private && heap.config.dea && heap.slot_is_ref(obj.kind, field) {
             self.publish_escaping(value);
         }
-        self.heap().obj(r).field(field).store(value, Ordering::Relaxed);
+        obj.field(field).store(value, Ordering::Relaxed);
         self.heap().hit(SyncPoint::EagerAfterWrite);
         // The crash-safety hot spot: a panic injected here unwinds while the
         // record word is Exclusive and the undo log holds the only pre-image.
@@ -140,7 +141,7 @@ impl<'h> EagerTxn<'h> {
                 self.core.acquire_published(o);
                 self.core.private_reads.remove(&o);
             } else if self.core.private_reads.remove(&o) {
-                let rec = self.heap().guard_load(o);
+                let rec = self.heap().guard_load(o, self.heap().obj(o));
                 if rec.is_shared() {
                     self.core.log_read(o, rec);
                 }

@@ -884,7 +884,12 @@ impl Heap {
 
     /// Whether slot `field` of `r` holds a reference.
     pub fn field_is_ref(&self, r: ObjRef, field: usize) -> bool {
-        match self.obj(r).kind {
+        self.slot_is_ref(self.obj(r).kind, field)
+    }
+
+    /// Whether slot `field` of an object of kind `kind` holds a reference.
+    pub(crate) fn slot_is_ref(&self, kind: Kind, field: usize) -> bool {
+        match kind {
             Kind::Object(s) => self.shape(s).fields[field].is_ref,
             Kind::IntArray => false,
             Kind::RefArray => true,
@@ -907,24 +912,28 @@ impl Heap {
     /// Callers performing state transitions (BTR, CAS, release) go through
     /// this; callers that only need the merged state (including privacy)
     /// use [`Heap::guard_load`].
+    ///
+    /// `obj` must be `r`'s object, already resolved by the caller: a hot
+    /// path looks the object up once per access and derives the record
+    /// from it, instead of walking the object store again here.
     #[inline]
-    pub(crate) fn guard(&self, r: ObjRef) -> &TxnRecord {
+    pub(crate) fn guard<'a>(&'a self, r: ObjRef, obj: &'a Obj) -> &'a TxnRecord {
         match &self.table {
-            RecordTable::PerObject => &self.obj(r).rec,
+            RecordTable::PerObject => &obj.rec,
             t @ RecordTable::Striped { .. } => t.stripe(t.slot_of_index(r.index())),
         }
     }
 
-    /// Loads the record word guarding `r`, folding in the privacy state: in
-    /// striped mode a private object reports `Private` from its embedded
-    /// record (private objects never touch stripe slots); everything else
-    /// reports the guard's word.
+    /// Loads the record word guarding `r` (whose object is `obj`), folding
+    /// in the privacy state: in striped mode a private object reports
+    /// `Private` from its embedded record (private objects never touch
+    /// stripe slots); everything else reports the guard's word.
     #[inline]
-    pub(crate) fn guard_load(&self, r: ObjRef) -> RecWord {
+    pub(crate) fn guard_load(&self, r: ObjRef, obj: &Obj) -> RecWord {
         match &self.table {
-            RecordTable::PerObject => self.obj(r).rec.load(),
+            RecordTable::PerObject => obj.rec.load(),
             t @ RecordTable::Striped { .. } => {
-                if self.config.dea && self.obj(r).rec.load_relaxed().is_private() {
+                if self.config.dea && obj.rec.load_relaxed().is_private() {
                     return RecWord::private();
                 }
                 t.stripe(t.slot_of_index(r.index())).load()
@@ -1073,7 +1082,7 @@ impl Heap {
     /// (diagnostics). In striped mode this is the stripe's version.
     pub fn record_version(&self, r: ObjRef) -> Option<usize> {
         use crate::txnrec::RecState::*;
-        match self.guard_load(r).state() {
+        match self.guard_load(r, self.obj(r)).state() {
             Shared { version } | ExclusiveAnon { version } => Some(version),
             _ => None,
         }

@@ -105,16 +105,16 @@ impl<'h> LazyTxn<'h> {
             None => {
                 // Snapshot the whole span — the source of §2.4's granular
                 // anomalies when the span exceeds one field.
+                let obj = self.heap().obj(r);
                 let mut attempt = 0u32;
                 let rec = loop {
-                    let rec = self.heap().guard_load(r);
+                    let rec = self.heap().guard_load(r, obj);
                     if rec.is_private() || rec.is_shared() {
                         self.core.conflict_resolved(attempt);
                         break rec;
                     }
                     self.core.conflict(ConflictSite::TxnWrite, &mut attempt, rec)?;
                 };
-                let obj = self.heap().obj(r);
                 let mut vals = [0u64; MAX_SPAN];
                 for (i, v) in vals.iter_mut().enumerate().take(len as usize) {
                     *v = obj.field(base as usize + i).load(Ordering::Acquire);

@@ -436,7 +436,7 @@ impl<'h> TxnCore<'h> {
         let obj = self.heap.obj(r);
         let mut attempt = 0u32;
         loop {
-            let rec = self.heap.guard_load(r);
+            let rec = self.heap.guard_load(r, obj);
             if rec.is_private() {
                 self.conflict_resolved(attempt);
                 return Ok((obj.field(field).load(Ordering::Relaxed), ReadKind::Private));
@@ -457,16 +457,21 @@ impl<'h> TxnCore<'h> {
                     // the O(1) validation that lets commit skip read-set
                     // revalidation. A newer version is not yet a conflict:
                     // timestamp extension re-anchors `rv` at the current
-                    // clock if the read set still holds.
-                    if self.heap.guard_load(r) != rec {
+                    // clock if the read set still holds — the read set
+                    // *including this read*, which is logged first: a
+                    // write to `r` landing before the clock is re-sampled
+                    // must fail the extension, not slip under the new `rv`.
+                    if self.heap.guard_load(r, obj) != rec {
                         continue;
                     }
+                    self.read_set.push((r, rec));
                     if rec.version() as u64 > self.rv {
                         self.extend_rv(rec.version() as u64)?;
                     }
                     self.heap.stats.o1_validation();
+                } else {
+                    self.read_set.push((r, rec));
                 }
-                self.read_set.push((r, rec));
                 if si {
                     self.si_cache.insert((r, field as u32), val);
                 }
@@ -496,7 +501,9 @@ impl<'h> TxnCore<'h> {
     /// slip inside the extended window unvalidated — and could then be
     /// hidden by the commit-time `wv == rv + 1` skip.
     fn extend_rv(&mut self, needed: u64) -> TxResult<()> {
+        self.heap.hit(SyncPoint::TxnExtendBegin);
         self.heap.clock_advance_to(needed);
+        self.heap.hit(SyncPoint::TxnExtendHealed);
         let rv_new = self.heap.clock_now();
         if !self.read_set_valid() {
             self.heap.stats.abort_validation();
@@ -522,9 +529,10 @@ impl<'h> TxnCore<'h> {
     ///    re-executes on the ordinary validated path instead of spinning.
     fn ro_read(&mut self, r: ObjRef, field: usize) -> TxResult<(Word, ReadKind)> {
         let heap = self.heap;
-        let rec = heap.guard_load(r);
+        let obj = heap.obj(r);
+        let rec = heap.guard_load(r, obj);
         if rec.is_private() {
-            return Ok((heap.obj(r).field(field).load(Ordering::Relaxed), ReadKind::Private));
+            return Ok((obj.field(field).load(Ordering::Relaxed), ReadKind::Private));
         }
         // Direct path: the record's version *is* its commit stamp. The
         // record load precedes the value load, so a writer cycle completing
@@ -532,8 +540,8 @@ impl<'h> TxnCore<'h> {
         // completing before the first record load already carries its
         // (newer) stamp.
         if rec.is_shared() && rec.version() as u64 <= self.rv {
-            let val = heap.obj(r).field(field).load(Ordering::Acquire);
-            if heap.guard_load(r) == rec {
+            let val = obj.field(field).load(Ordering::Acquire);
+            if heap.guard_load(r, obj) == rec {
                 charge(CostKind::TxnOpenRead);
                 heap.stats.mv_snapshot_read();
                 return Ok((val, ReadKind::Shared));
@@ -582,9 +590,10 @@ impl<'h> TxnCore<'h> {
         site: ConflictSite,
         cost: CostKind,
     ) -> TxResult<Acquired> {
+        let obj = self.heap.obj(r);
         let mut attempt = 0u32;
         loop {
-            let rec = self.heap.guard_load(r);
+            let rec = self.heap.guard_load(r, obj);
             if rec.is_private() {
                 self.conflict_resolved(attempt);
                 return Ok(Acquired::Private);
@@ -595,7 +604,7 @@ impl<'h> TxnCore<'h> {
             }
             if rec.is_shared() {
                 charge(cost);
-                if self.heap.guard(r).try_acquire_txn(rec, self.owner).is_ok() {
+                if self.heap.guard(r, obj).try_acquire_txn(rec, self.owner).is_ok() {
                     self.note_owned(r, rec);
                     self.conflict_resolved(attempt);
                     return Ok(Acquired::Held);
@@ -649,13 +658,14 @@ impl<'h> TxnCore<'h> {
         if self.owns(o) {
             return;
         }
+        let obj = self.heap.obj(o);
         for spin in 0..PUBLISH_ACQUIRE_SPINS {
-            let rec = self.heap.guard_load(o);
+            let rec = self.heap.guard_load(o, obj);
             if rec.owned_by(self.owner) {
                 return;
             }
             if rec.is_shared() {
-                if self.heap.guard(o).try_acquire_txn(rec, self.owner).is_ok() {
+                if self.heap.guard(o, obj).try_acquire_txn(rec, self.owner).is_ok() {
                     self.note_owned(o, rec);
                     return;
                 }
@@ -677,7 +687,7 @@ impl<'h> TxnCore<'h> {
         }
         for &(r, logged) in &self.read_set {
             charge(CostKind::TxnValidateEntry);
-            let cur = self.heap.guard_load(r);
+            let cur = self.heap.guard_load(r, self.heap.obj(r));
             if cur == logged {
                 continue;
             }
@@ -956,7 +966,7 @@ impl<'h> TxnCore<'h> {
             }
             let stamp = wv.max(prior.version() as u64 + 1);
             released_max = released_max.max(stamp);
-            self.heap.guard(r).release_txn_at(stamp as usize);
+            self.heap.guard(r, self.heap.obj(r)).release_txn_at(stamp as usize);
         }
         if aborting && self.heap.config.clock == ClockMode::ThreadLocal {
             self.heap.clock_advance_to(released_max);
@@ -968,7 +978,7 @@ impl<'h> TxnCore<'h> {
     /// must not change either).
     pub(crate) fn restore_owned(&mut self) {
         for (_, (r, prior)) in self.owned.drain() {
-            self.heap.guard(r).restore(prior);
+            self.heap.guard(r, self.heap.obj(r)).restore(prior);
         }
     }
 

@@ -19,14 +19,31 @@
 //! The counters sit on the hot path of every barrier and transaction, so a
 //! single set of shared atomics becomes a cache-line ping-pong hot spot
 //! exactly when the STM itself scales. [`Stats`] therefore keeps
-//! [`SHARDS`] cache-line-aligned copies of every counter; each thread picks
-//! a shard once (round-robin at first use) and increments only that copy.
-//! [`Stats::snapshot`] sums across shards, so every aggregate identity the
-//! test suite asserts (commits + aborts, per-site vs total waits, …) holds
-//! unchanged — the split is invisible outside this module.
+//! [`SHARDS`] cache-line-aligned copies of every counter plus one overflow
+//! copy, and [`Stats::snapshot`] sums across all of them, so every
+//! aggregate identity the test suite asserts (commits + aborts, per-site
+//! vs total waits, …) holds unchanged — the split is invisible outside
+//! this module.
+//!
+//! A thread *leases* one shard index on its first counted event, by
+//! setting a bit in a process-wide bitmask, and returns it from a
+//! thread-local destructor when it exits. The index is the thread's in
+//! every [`Stats`] instance, and while it holds the lease no other thread
+//! writes that shard. An increment on a leased shard is therefore a
+//! relaxed `load` plus `store` — no read-modify-write, no `lock` prefix —
+//! and still exact: there is only one writer. Concurrent
+//! [`Stats::snapshot`] readers see each counter's latest store, exactly
+//! as they saw the latest `fetch_add` before.
+//!
+//! Threads that find every lease taken, and events counted during thread
+//! teardown after the lease went back, use the shared overflow shard,
+//! which keeps `fetch_add`. Taking a lease is an `Acquire` RMW on the
+//! bitmask and returning it a `Release` RMW, so a shard's next owner
+//! observes its previous owner's totals and continues from them.
 
 use crate::contention::ConflictSite;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Number of buckets in the wait-span histogram. Bucket `i` counts conflicts
 /// resolved (or given up) after `n` backoff rounds with
@@ -38,9 +55,8 @@ fn site_array() -> [AtomicU64; ConflictSite::COUNT] {
     std::array::from_fn(|_| AtomicU64::new(0))
 }
 
-/// Number of per-thread counter shards (power of two). Threads claim a
-/// shard round-robin at first use; with more threads than shards, sharing
-/// returns gradually rather than failing.
+/// Number of leasable per-thread counter shards (see the module docs). A
+/// thread beyond this many live counting threads uses the overflow shard.
 pub const SHARDS: usize = 16;
 
 /// One shard of the counters: a full private copy of every counter,
@@ -215,16 +231,88 @@ impl Default for StatShard {
 /// Per-heap event counters (sharded; see the module docs).
 #[derive(Debug, Default)]
 pub struct Stats {
+    /// Leased shards: only the thread holding lease `i` writes `shards[i]`.
     shards: [StatShard; SHARDS],
+    /// Shared by threads without a lease; every write is an atomic RMW.
+    overflow: StatShard,
 }
 
-/// This thread's shard index, claimed round-robin on first use.
-fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
+/// Bit `i` set while some live thread holds the lease on shard `i`.
+static LEASES: AtomicU32 = AtomicU32::new(0);
+
+/// Shard index of a thread that holds no lease: the overflow shard.
+const OVERFLOW: usize = SHARDS;
+/// [`SHARD`] before the thread's first counted event.
+const UNLEASED: usize = usize::MAX;
+
+thread_local! {
+    /// This thread's shard: a lease index, [`OVERFLOW`], or [`UNLEASED`].
+    /// Const-initialized and drop-free, so reading it is one TLS load and
+    /// stays valid during thread teardown.
+    static SHARD: Cell<usize> = const { Cell::new(UNLEASED) };
+    /// Owns the lease; its destructor hands the shard back.
+    static LEASE: Lease = Lease::take();
+}
+
+/// A held shard lease (or none, when every shard was taken).
+struct Lease(usize);
+
+impl Lease {
+    fn take() -> Lease {
+        const _: () = assert!(SHARDS <= u32::BITS as usize);
+        let full = u32::MAX >> (u32::BITS as usize - SHARDS);
+        let mut cur = LEASES.load(Ordering::Relaxed);
+        let idx = loop {
+            if cur & full == full {
+                break OVERFLOW;
+            }
+            let i = (!cur).trailing_zeros();
+            let taken = cur | 1 << i;
+            match LEASES.compare_exchange_weak(cur, taken, Ordering::Acquire, Ordering::Relaxed) {
+                Ok(_) => break i as usize,
+                Err(now) => cur = now,
+            }
+        };
+        SHARD.with(|s| s.set(idx));
+        Lease(idx)
     }
-    INDEX.with(|i| *i)
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        // Later events on this thread (other TLS destructors) go to the
+        // overflow shard; the owner we hand to must not race with them.
+        SHARD.with(|s| s.set(OVERFLOW));
+        if self.0 < SHARDS {
+            LEASES.fetch_and(!(1 << self.0), Ordering::Release);
+        }
+    }
+}
+
+/// This thread's shard index: its lease, or [`OVERFLOW`].
+#[inline]
+fn thread_shard() -> usize {
+    let i = SHARD.with(Cell::get);
+    if i != UNLEASED {
+        return i;
+    }
+    lease_shard()
+}
+
+/// First counted event on this thread: take a lease. After the lease's
+/// destruction [`Lease::drop`] has already pointed [`SHARD`] at the
+/// overflow shard; only a thread whose first event comes so late in its
+/// teardown that the lease cannot be created lands here again (and counts
+/// on the overflow shard each time).
+#[cold]
+fn lease_shard() -> usize {
+    LEASE.try_with(|l| l.0).unwrap_or(OVERFLOW)
+}
+
+/// Snapshot of the lease bitmask: bit `i` is set while a live thread holds
+/// shard `i` (diagnostics and tests).
+pub fn leased_shards() -> u32 {
+    LEASES.load(Ordering::Acquire)
 }
 
 macro_rules! bump {
@@ -233,7 +321,7 @@ macro_rules! bump {
             #[doc = concat!("Increments `", stringify!($field), "` (this thread's shard).")]
             #[inline]
             pub fn $name(&self) {
-                self.shard().$field.fetch_add(1, Ordering::Relaxed);
+                self.add(|s| &s.$field, 1);
             }
         )*
     };
@@ -242,7 +330,7 @@ macro_rules! bump {
 /// Sums one scalar field across all shards.
 macro_rules! sum {
     ($self:ident, $field:ident) => {
-        $self.shards.iter().map(|s| s.$field.load(Ordering::Relaxed)).sum::<u64>()
+        $self.all_shards().map(|s| s.$field.load(Ordering::Relaxed)).sum::<u64>()
     };
 }
 
@@ -250,7 +338,7 @@ macro_rules! sum {
 macro_rules! sum_array {
     ($self:ident, $field:ident) => {
         std::array::from_fn(|i| {
-            $self.shards.iter().map(|s| s.$field[i].load(Ordering::Relaxed)).sum::<u64>()
+            $self.all_shards().map(|s| s.$field[i].load(Ordering::Relaxed)).sum::<u64>()
         })
     };
 }
@@ -261,9 +349,22 @@ impl Stats {
         Stats::default()
     }
 
+    /// Adds `n` to the counter `pick` selects in this thread's shard: a
+    /// plain load and store on a leased shard (this thread is its only
+    /// writer), an atomic RMW on the shared overflow shard.
     #[inline]
-    fn shard(&self) -> &StatShard {
-        &self.shards[thread_shard()]
+    fn add(&self, pick: impl Fn(&StatShard) -> &AtomicU64, n: u64) {
+        let i = thread_shard();
+        if i < SHARDS {
+            let c = pick(&self.shards[i]);
+            c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        } else {
+            pick(&self.overflow).fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn all_shards(&self) -> impl Iterator<Item = &StatShard> {
+        self.shards.iter().chain(std::iter::once(&self.overflow))
     }
 
     bump! {
@@ -305,25 +406,25 @@ impl Stats {
     /// Adds `n` failed clock-CAS attempts (batched per advance call).
     #[inline]
     pub fn clock_cas_retries_add(&self, n: u64) {
-        self.shard().clock_cas_retries.fetch_add(n, Ordering::Relaxed);
+        self.add(|s| &s.clock_cas_retries, n);
     }
 
     /// Records a fresh conflict event at `site`.
     #[inline]
     pub fn conflict_event(&self, site: ConflictSite) {
-        self.shard().conflict_events[site.index()].fetch_add(1, Ordering::Relaxed);
+        self.add(|s| &s.conflict_events[site.index()], 1);
     }
 
     /// Records one contention-manager wait round at `site`.
     #[inline]
     pub fn cm_wait(&self, site: ConflictSite) {
-        self.shard().cm_waits[site.index()].fetch_add(1, Ordering::Relaxed);
+        self.add(|s| &s.cm_waits[site.index()], 1);
     }
 
     /// Records a contention-manager self-abort decision at `site`.
     #[inline]
     pub fn cm_self_abort(&self, site: ConflictSite) {
-        self.shard().cm_self_aborts[site.index()].fetch_add(1, Ordering::Relaxed);
+        self.add(|s| &s.cm_self_aborts[site.index()], 1);
     }
 
     /// Records that a conflict was resolved (or abandoned) after `rounds`
@@ -334,7 +435,7 @@ impl Stats {
             return;
         }
         let bucket = (31 - rounds.leading_zeros()).min(WAIT_BUCKETS as u32 - 1) as usize;
-        self.shard().wait_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.add(|s| &s.wait_hist[bucket], 1);
     }
 
     /// A point-in-time snapshot, convenient for assertions: sums every
@@ -580,8 +681,8 @@ mod tests {
 
     #[test]
     fn shards_aggregate_across_threads() {
-        // Each thread lands on its own shard (round-robin); the snapshot
-        // must still see every increment exactly once.
+        // Each thread leases its own shard; the snapshot must still see
+        // every increment exactly once.
         let s = std::sync::Arc::new(Stats::new());
         let handles: Vec<_> = (0..8)
             .map(|_| {

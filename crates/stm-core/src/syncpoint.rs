@@ -57,6 +57,13 @@ pub enum SyncPoint {
     PlainAccess,
     /// Quiescence wait is about to start.
     QuiesceStart,
+    /// Timestamp extension begins: a transactional read observed a version
+    /// newer than the snapshot `rv` and has been logged; the clock has not
+    /// been healed or re-sampled.
+    TxnExtendBegin,
+    /// Timestamp extension healed the clock past the observed version and
+    /// is about to re-sample `rv` and revalidate the read set.
+    TxnExtendHealed,
     /// Free-form point for tests and workloads.
     User(u32),
 }

@@ -798,7 +798,7 @@ fn wait_for_change(
     let mut attempt = 0u32;
     loop {
         for &(r, logged) in snapshot {
-            if heap.guard_load(r) != logged {
+            if heap.guard_load(r, heap.obj(r)) != logged {
                 return (attempt, false);
             }
         }

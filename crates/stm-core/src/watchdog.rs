@@ -229,10 +229,11 @@ impl Liveness {
             for (r, prior) in inner.owned.drain(..) {
                 // The descriptor mirrors acquisitions per guard *slot*, so
                 // this releases each striped slot exactly once too.
-                debug_assert_eq!(heap.guard(r).load().raw(), holder.raw());
+                let guard = heap.guard(r, heap.obj(r));
+                debug_assert_eq!(guard.load().raw(), holder.raw());
                 let stamp = tick.max(prior.version() as u64 + 1);
                 released_max = released_max.max(stamp);
-                heap.guard(r).release_txn_at(stamp as usize);
+                guard.release_txn_at(stamp as usize);
                 heap.stats().orphan_reclaim();
                 records += 1;
             }

@@ -2,6 +2,7 @@
 //! barriered access, all engine configurations. These are the tests that
 //! catch protocol races the unit tests cannot.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm_core::barrier::{aggregate, read_barrier, write_barrier};
 use stm_core::config::{StmConfig, VersionGranularity, Versioning};
@@ -243,19 +244,28 @@ fn quiescence_under_load() {
 }
 
 /// Open-nested commits survive outer aborts under concurrency.
+///
+/// A conflict re-executes the outer body, and every execution commits its
+/// open-nested increment again (by design: the nested transaction commits
+/// regardless of the enclosing one's fate). So `log` counts executions of
+/// the outer body — at least one per block, more under contention — while
+/// `data` counts only outer commits.
 #[test]
 fn open_nesting_concurrent() {
     let heap = heap_with(StmConfig::default());
     let s = bank_shape(&heap);
     let log = heap.alloc_public(s);
     let data = heap.alloc_public(s);
+    let executions = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..3)
         .map(|_| {
             let heap = Arc::clone(&heap);
+            let executions = Arc::clone(&executions);
             std::thread::spawn(move || {
                 for i in 0..200u64 {
                     let commit = i % 2 == 0;
                     let _ = try_atomic(&heap, |tx| {
+                        executions.fetch_add(1, Ordering::Relaxed);
                         tx.open_nested(|otx| {
                             let v = otx.read(log, 0)?;
                             otx.write(log, 0, v + 1)
@@ -275,7 +285,9 @@ fn open_nesting_concurrent() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(heap.read_raw(log, 0), 600, "every open-nested commit counted");
+    let executions = executions.load(Ordering::Relaxed);
+    assert!(executions >= 600, "every block ran its body at least once");
+    assert_eq!(heap.read_raw(log, 0), executions, "every open-nested commit counted");
     assert_eq!(heap.read_raw(data, 0), 300, "only outer commits counted");
 }
 
