@@ -2,11 +2,18 @@
 //! evaluation. Each returns a formatted report string (and the `repro`
 //! binary prints them); EXPERIMENTS.md records representative output.
 
+use crate::table::{json_list, Column, Row, Table};
+use litmus::anomalies::{engine_label, ENGINES};
 use litmus::privatization::privatization_outcome;
 use litmus::{anomaly_matrix, render_matrix, Mode};
 use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
-use stm_core::config::BarrierMode;
+use stm_core::config::{BarrierMode, StmConfig};
+use stm_core::heap::{FieldDef, Heap, ObjRef, Shape};
+use stm_core::txn::{atomic, TxResult, Txn};
 use tmir::jitopt::{optimize, JitOptions};
 use tmir::sites::BarrierTable;
 use tmir_analysis::nait::analyze_and_remove;
@@ -18,6 +25,63 @@ use workloads::tsp::TspConfig;
 
 /// Thread counts swept in the scalability figures (paper: 1–16).
 pub const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// A xorshift64 stream from `seed` (forced odd, so never the zero state).
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut rng = seed | 1;
+    move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    }
+}
+
+/// Worker `t`'s random stream in the sweeps.
+fn worker_rng(t: usize) -> impl FnMut() -> u64 {
+    xorshift(0x9E37_79B9u64.wrapping_mul(t as u64 + 1))
+}
+
+/// A random adjacent pair from the hot set `objs`.
+fn hot_pair(objs: &[ObjRef], next: &mut impl FnMut() -> u64) -> (ObjRef, ObjRef) {
+    let a = next() as usize % objs.len();
+    (objs[a], objs[(a + 1) % objs.len()])
+}
+
+/// The two-object read-modify-write the sweeps share: increment `a`'s
+/// field 0, fold `i` into `b`'s field 1.
+fn rmw_pair(tx: &mut Txn<'_>, a: ObjRef, b: ObjRef, i: u64) -> TxResult<()> {
+    let v = tx.read(a, 0)?;
+    tx.write(a, 0, v + 1)?;
+    let w = tx.read(b, 1)?;
+    tx.write(b, 1, w.wrapping_add(i))
+}
+
+/// The worker loop of the granularity and scale sweeps: `ops` pair
+/// read-modify-writes, each on two random objects of worker `t`'s private
+/// `slice`-object range when `disjoint`, else on a hot-set pair.
+fn pair_worker(heap: &Heap, objs: &[ObjRef], disjoint: bool, slice: usize, t: usize, ops: u64) {
+    let mut next = worker_rng(t);
+    for i in 0..ops {
+        let (a, b) = if disjoint {
+            let base = t * slice;
+            (objs[base + next() as usize % slice], objs[base + next() as usize % slice])
+        } else {
+            hot_pair(objs, &mut next)
+        };
+        atomic(heap, |tx| rmw_pair(tx, a, b, i));
+    }
+}
+
+/// A heap under `config` with `count` public objects of one two-field
+/// (`n`, `side`) shape called `shape`.
+fn heap_with_objects(config: StmConfig, shape: &str, count: usize) -> (Arc<Heap>, Vec<ObjRef>) {
+    let heap = Heap::new(config);
+    let fields = vec![FieldDef::int("n"), FieldDef::int("side")];
+    let shape = heap.define_shape(Shape::new(shape, fields));
+    let objects = (0..count).map(|_| heap.alloc_public(shape)).collect();
+    (heap, objects)
+}
 
 /// Figures 1–5: each anomaly litmus under each regime, plus the §3.4
 /// quiescence variants of the privatization idiom.
@@ -311,10 +375,7 @@ pub fn fig20() -> String {
 /// (§2.1) — but the telemetry makes the policies' different wait/abort
 /// trade-offs visible on the paper's own workload shape.
 pub fn contention() -> String {
-    use stm_core::config::StmConfig;
     use stm_core::contention::ContentionPolicy;
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::atomic;
 
     const THREADS: usize = 4;
     const OPS: usize = 400;
@@ -329,26 +390,13 @@ pub fn contention() -> String {
     )
     .unwrap();
     for policy in ContentionPolicy::ALL {
-        let heap = Heap::new(StmConfig {
-            contention: policy,
-            ..StmConfig::default()
-        });
-        let shape = heap.define_shape(Shape::new(
-            "Hot",
-            vec![FieldDef::int("n"), FieldDef::int("side")],
-        ));
-        let objs = [heap.alloc_public(shape), heap.alloc_public(shape)];
+        let config = StmConfig { contention: policy, ..StmConfig::default() };
+        let (heap, objs) = heap_with_objects(config, "Hot", 2);
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let heap = std::sync::Arc::clone(&heap);
+                let (heap, objs) = (Arc::clone(&heap), objs.clone());
                 std::thread::spawn(move || {
-                    let mut rng = 0xA5A5_5A5Au64.wrapping_mul(t as u64 + 1) | 1;
-                    let mut next = move || {
-                        rng ^= rng << 13;
-                        rng ^= rng >> 7;
-                        rng ^= rng << 17;
-                        rng
-                    };
+                    let mut next = xorshift(0xA5A5_5A5Au64.wrapping_mul(t as u64 + 1));
                     for i in 0..OPS {
                         let pick = next() as usize % objs.len();
                         let o = objs[pick];
@@ -424,14 +472,12 @@ pub fn contention() -> String {
 pub fn chaos(first_seed: u64, count: u64) -> String {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
     use stm_core::config::{
-        AdmissionConfig, ClockMode, Granularity, IsolationLevel, StmConfig, TxnPolicy, Versioning,
+        AdmissionConfig, ClockMode, Granularity, IsolationLevel, TxnPolicy, Versioning,
     };
     use stm_core::contention::ContentionPolicy;
     use stm_core::fault::{FaultPlan, FaultSite, InjectedPanic};
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::{atomic, try_atomic_read_only, try_atomic_with};
+    use stm_core::txn::{try_atomic_read_only, try_atomic_with};
     use stm_core::watchdog::WatchdogConfig;
 
     const THREADS: u64 = 3;
@@ -538,16 +584,9 @@ pub fn chaos(first_seed: u64, count: u64) -> String {
                         let injected = Arc::clone(&injected_panics);
                         let exclusive = Arc::clone(&exclusive_panics);
                         std::thread::spawn(move || {
-                            let mut rng = seed
-                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                .wrapping_add(t + 1)
-                                | 1;
-                            let mut next = move || {
-                                rng ^= rng << 13;
-                                rng ^= rng >> 7;
-                                rng ^= rng << 17;
-                                rng
-                            };
+                            let mut next = xorshift(
+                                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t + 1),
+                            );
                             // The hostile policy: tight enough that injected
                             // forced aborts actually burn the budget and
                             // drive every escalation rung under chaos.
@@ -735,50 +774,48 @@ pub fn chaos(first_seed: u64, count: u64) -> String {
     out
 }
 
-/// One measured cell of the granularity experiment.
-struct GranRow {
-    workload: &'static str,
-    granularity: String,
-    threads: usize,
-    ops: u64,
-    elapsed_s: f64,
-    commits: u64,
-    aborts: u64,
-    conflicts: u64,
-    /// Conflicts on the *disjoint* workload, where no two threads ever touch
-    /// the same object: every one of them is a false conflict manufactured
-    /// by slot sharing in the striped table.
-    false_conflicts: Option<u64>,
+/// The `thr` column of the sweep tables.
+const THR: Column = Column::int("threads", "thr", 4);
+/// Simulated makespan in cycles: virtual time on the simulated
+/// multiprocessor, so a sweep means the same on any host core count.
+const MAKESPAN: Column = Column::int("makespan_cycles", "", 0);
+/// Committed operations per million simulated cycles.
+const PER_MCYCLE: Column = Column::float("throughput_ops_per_mcycle", "ops/Mcycle", 14, (1, 3));
+/// Throughput relative to the 1-thread row of the same group.
+const SPEEDUP: Column = Column::float("speedup_vs_1_thread", "speedup", 9, (2, 3)).unit("x");
+
+/// Operations per million simulated cycles.
+fn per_mcycle(ops: u64, makespan: u64) -> f64 {
+    ops as f64 / (makespan.max(1) as f64 / 1e6)
 }
 
-impl GranRow {
-    fn throughput(&self) -> f64 {
-        self.ops as f64 / self.elapsed_s
+/// `throughput` relative to its group's 1-thread row, which is swept first
+/// and sets `base`.
+fn speedup(base: &mut f64, threads: usize, throughput: f64) -> f64 {
+    if threads == 1 {
+        *base = throughput;
     }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"granularity\":\"{}\",\"threads\":{},\"ops\":{},\
-             \"elapsed_s\":{:.6},\"throughput_ops_per_s\":{:.1},\"commits\":{},\
-             \"aborts\":{},\"conflicts\":{},\"false_conflict_rate\":{}}}",
-            self.workload,
-            self.granularity,
-            self.threads,
-            self.ops,
-            self.elapsed_s,
-            self.throughput(),
-            self.commits,
-            self.aborts,
-            self.conflicts,
-            match self.false_conflicts {
-                Some(fc) => format!("{:.6}", fc as f64 / self.ops.max(1) as f64),
-                None => "null".to_string(),
-            },
-        )
-    }
+    throughput / base.max(f64::MIN_POSITIVE)
 }
 
-/// Runs one granularity workload cell and snapshots its telemetry.
+/// The granularity sweep's columns.
+const GRANULARITY_COLUMNS: &[Column] = &[
+    Column::label("workload", "workload", 11),
+    Column::label("granularity", "granularity", 14),
+    THR,
+    Column::int("ops", "", 0),
+    Column::float("elapsed_s", "", 0, (6, 6)),
+    Column::float("throughput_ops_per_s", "ops/s", 12, (0, 1)),
+    Column::int("commits", "commits", 9),
+    Column::int("aborts", "aborts", 7),
+    Column::int("conflicts", "conflicts", 10),
+    // Conflicts per op on the *disjoint* workload, where no two threads ever
+    // touch the same object: every one of them is a false conflict
+    // manufactured by slot sharing in the striped table.
+    Column::float("false_conflict_rate", "false-rate", 12, (4, 6)),
+];
+
+/// Runs one granularity workload cell and appends its telemetry row.
 ///
 /// * `disjoint = false` — `threads` threads hammer a 4-object hot set with
 ///   two-object read-modify-write transactions: every conflict is real, so
@@ -788,95 +825,53 @@ impl GranRow {
 ///   runs conflict-free, and every conflict the striped table reports is a
 ///   false one (two private objects hashing onto the same slot).
 fn granularity_case(
+    table: &mut Table,
     granularity: stm_core::config::Granularity,
     threads: usize,
     disjoint: bool,
     ops_per_thread: u64,
-) -> GranRow {
-    use std::sync::Arc;
-    use stm_core::config::StmConfig;
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::atomic;
-
+) {
     const SLICE: usize = 64;
-    let heap = Heap::new(StmConfig::default().with_granularity(granularity));
-    let shape = heap.define_shape(Shape::new(
-        "Cell",
-        vec![FieldDef::int("n"), FieldDef::int("side")],
-    ));
-    let objects: Vec<_> = (0..if disjoint { threads * SLICE } else { 4 })
-        .map(|_| heap.alloc_public(shape))
-        .collect();
+    let config = StmConfig::default().with_granularity(granularity);
+    let count = if disjoint { threads * SLICE } else { 4 };
+    let (heap, objects) = heap_with_objects(config, "Cell", count);
 
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let heap = Arc::clone(&heap);
-            let objects = objects.clone();
-            std::thread::spawn(move || {
-                let mut rng = 0x9E37_79B9u64.wrapping_mul(t as u64 + 1) | 1;
-                let mut next = move || {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    rng
-                };
-                for i in 0..ops_per_thread {
-                    let (a, b) = if disjoint {
-                        let base = t * SLICE;
-                        let a = base + next() as usize % SLICE;
-                        let b = base + next() as usize % SLICE;
-                        (objects[a], objects[b])
-                    } else {
-                        let a = next() as usize % objects.len();
-                        (objects[a], objects[(a + 1) % objects.len()])
-                    };
-                    atomic(&heap, |tx| {
-                        let v = tx.read(a, 0)?;
-                        tx.write(a, 0, v + 1)?;
-                        let w = tx.read(b, 1)?;
-                        tx.write(b, 1, w.wrapping_add(i))
-                    });
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (heap, objects) = (&heap, &objects);
+            s.spawn(move || pair_worker(heap, objects, disjoint, SLICE, t, ops_per_thread));
+        }
+    });
     let elapsed_s = t0.elapsed().as_secs_f64();
     let snap = heap.stats_snapshot();
+    let ops = threads as u64 * ops_per_thread;
     let conflicts = snap.total_conflicts();
-    GranRow {
-        workload: if disjoint { "disjoint" } else { "contended" },
-        granularity: granularity.label(),
-        threads,
-        ops: threads as u64 * ops_per_thread,
-        elapsed_s,
-        commits: snap.commits,
-        aborts: snap.aborts,
-        conflicts,
-        false_conflicts: disjoint.then_some(conflicts),
-    }
+    table.push(vec![
+        (if disjoint { "disjoint" } else { "contended" }).into(),
+        granularity.label().into(),
+        threads.into(),
+        ops.into(),
+        elapsed_s.into(),
+        (ops as f64 / elapsed_s).into(),
+        snap.commits.into(),
+        snap.aborts.into(),
+        conflicts.into(),
+        disjoint.then(|| conflicts as f64 / ops.max(1) as f64).into(),
+    ]);
 }
 
 /// Conflict-detection granularity shootout: per-object embedded records vs
 /// the TL2-style striped ownership-record table, across a stripe-count
 /// sweep, on one truly contended and one truly disjoint workload, plus a
 /// thread-scaling sweep. Writes machine-readable rows to
-/// `BENCH_granularity.json` next to the report.
+/// `BENCH_granularity.json` in `dir`; fails only if that write fails.
 ///
 /// The disjoint workload is the false-conflict probe: threads never share an
 /// object, so the per-object row must report (near-)zero conflicts and every
 /// striped conflict is a collision of two unrelated objects on one slot —
 /// the isolation cost of striping that shrinks as the table grows.
-pub fn granularity(ops_per_thread: u64) -> String {
-    granularity_to(ops_per_thread, std::path::Path::new("BENCH_granularity.json"))
-}
-
-/// [`granularity`] with an explicit artifact path (tests point it at a
-/// temporary directory).
-pub fn granularity_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
+pub fn granularity(ops_per_thread: u64, dir: &Path) -> io::Result<String> {
     use stm_core::config::Granularity;
 
     const THREADS: usize = 4;
@@ -888,15 +883,17 @@ pub fn granularity_to(ops_per_thread: u64, artifact: &std::path::Path) -> String
         Granularity::Striped { stripes: 1024 },
     ];
 
-    let mut rows: Vec<GranRow> = Vec::new();
+    let mut table = Table::new("granularity", GRANULARITY_COLUMNS)
+        .param("threads_default", THREADS)
+        .param("ops_per_thread", ops_per_thread);
     for g in sweep {
-        rows.push(granularity_case(g, THREADS, false, ops_per_thread));
-        rows.push(granularity_case(g, THREADS, true, ops_per_thread));
+        granularity_case(&mut table, g, THREADS, false, ops_per_thread);
+        granularity_case(&mut table, g, THREADS, true, ops_per_thread);
     }
     // Thread-scaling sweep on the disjoint workload for the two defaults.
     for g in [Granularity::PerObject, Granularity::striped_default()] {
         for threads in [1usize, 2, 8] {
-            rows.push(granularity_case(g, threads, true, ops_per_thread));
+            granularity_case(&mut table, g, threads, true, ops_per_thread);
         }
     }
 
@@ -909,94 +906,31 @@ pub fn granularity_to(ops_per_thread: u64, artifact: &std::path::Path) -> String
         THREADS, ops_per_thread
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:<11} {:<14} {:>4} {:>12} {:>9} {:>7} {:>10} {:>12}",
-        "workload", "granularity", "thr", "ops/s", "commits", "aborts", "conflicts", "false-rate"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<11} {:<14} {:>4} {:>12.0} {:>9} {:>7} {:>10} {:>12}",
-            r.workload,
-            r.granularity,
-            r.threads,
-            r.throughput(),
-            r.commits,
-            r.aborts,
-            r.conflicts,
-            match r.false_conflicts {
-                Some(fc) => format!("{:.4}", fc as f64 / r.ops.max(1) as f64),
-                None => "-".to_string(),
-            },
-        )
-        .unwrap();
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"granularity\",\"threads_default\":{THREADS},\
-         \"ops_per_thread\":{ops_per_thread},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(GranRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => {
-            writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap()
-        }
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
+    table.emit(dir, &mut out)?;
     writeln!(
         out,
         "(striping trades memory for false conflicts: the disjoint false-rate\n\
          falls toward the per-object floor as the stripe count grows)"
     )
     .unwrap();
-    out
+    Ok(out)
 }
 
-/// One measured cell of the transaction-lifecycle scalability experiment.
-struct ScaleRow {
-    workload: &'static str,
-    engine: &'static str,
-    threads: usize,
-    ops: u64,
-    /// Simulated makespan in cycles (virtual time on the simulated
-    /// multiprocessor, so the sweep is meaningful on any host core count).
-    makespan: u64,
-    commits: u64,
-    aborts: u64,
-    /// Quiescence slots the heap ended with — the registry's bound is the
-    /// thread count, independent of how many transactions ran.
-    slots: usize,
-    /// Throughput relative to the 1-thread row of the same (workload,
-    /// engine) group; filled in once the group's base is known.
-    speedup: f64,
-}
-
-impl ScaleRow {
-    /// Committed operations per million simulated cycles.
-    fn throughput(&self) -> f64 {
-        self.ops as f64 / (self.makespan.max(1) as f64 / 1e6)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"engine\":\"{}\",\"threads\":{},\"ops\":{},\
-             \"makespan_cycles\":{},\"throughput_ops_per_mcycle\":{:.3},\
-             \"speedup_vs_1_thread\":{:.3},\"commits\":{},\"aborts\":{},\"slots\":{}}}",
-            self.workload,
-            self.engine,
-            self.threads,
-            self.ops,
-            self.makespan,
-            self.throughput(),
-            self.speedup,
-            self.commits,
-            self.aborts,
-            self.slots,
-        )
-    }
-}
+/// The lifecycle-scalability sweep's columns.
+const SCALE_COLUMNS: &[Column] = &[
+    Column::label("workload", "workload", 11),
+    Column::label("engine", "engine", 7),
+    THR,
+    Column::int("ops", "ops", 8),
+    MAKESPAN,
+    PER_MCYCLE,
+    SPEEDUP,
+    Column::int("commits", "commits", 8),
+    Column::int("aborts", "aborts", 7),
+    // Quiescence slots the heap ended with — the registry's bound is the
+    // thread count, independent of how many transactions ran.
+    Column::int("slots", "slots", 6),
+];
 
 /// Runs one cell of the lifecycle-scalability sweep on the simulated
 /// multiprocessor (`threads` workers on `threads` processors), with
@@ -1009,77 +943,62 @@ impl ScaleRow {
 ///   conflicts dominate and the sweep shows how contention, not the
 ///   lifecycle, caps scaling.
 fn scale_case(
+    table: &mut Table,
     versioning: stm_core::config::Versioning,
     threads: usize,
     disjoint: bool,
     ops_per_thread: u64,
-) -> ScaleRow {
-    use std::sync::Arc;
-    use stm_core::config::StmConfig;
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::atomic;
+    base: &mut f64,
+) {
     use workloads::scale::run_workers;
 
     const SLICE: usize = 32;
-    let heap = Heap::new(StmConfig { versioning, quiescence: true, ..StmConfig::default() });
-    let shape = heap.define_shape(Shape::new(
-        "Cell",
-        vec![FieldDef::int("n"), FieldDef::int("side")],
-    ));
-    let objects: Vec<_> = (0..if disjoint { threads * SLICE } else { 4 })
-        .map(|_| heap.alloc_public(shape))
-        .collect();
+    let config = StmConfig { versioning, quiescence: true, ..StmConfig::default() };
+    let count = if disjoint { threads * SLICE } else { 4 };
+    let (heap, objects) = heap_with_objects(config, "Cell", count);
 
     let worker_heap = Arc::clone(&heap);
     let (makespan, commits, aborts, _) = run_workers(&heap, threads, threads, move |t| {
-        let mut rng = 0x9E37_79B9u64.wrapping_mul(t as u64 + 1) | 1;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for i in 0..ops_per_thread {
-            let (a, b) = if disjoint {
-                let base = t * SLICE;
-                (
-                    objects[base + next() as usize % SLICE],
-                    objects[base + next() as usize % SLICE],
-                )
-            } else {
-                let a = next() as usize % objects.len();
-                (objects[a], objects[(a + 1) % objects.len()])
-            };
-            atomic(&worker_heap, |tx| {
-                let v = tx.read(a, 0)?;
-                tx.write(a, 0, v + 1)?;
-                let w = tx.read(b, 1)?;
-                tx.write(b, 1, w.wrapping_add(i))
-            });
-        }
+        pair_worker(&worker_heap, &objects, disjoint, SLICE, t, ops_per_thread);
         0
     });
     heap.audit().assert_clean();
-    ScaleRow {
-        workload: if disjoint { "disjoint" } else { "contended" },
-        engine: match versioning {
-            stm_core::config::Versioning::Eager => "eager",
-            stm_core::config::Versioning::Lazy => "lazy",
-        },
-        threads,
-        ops: threads as u64 * ops_per_thread,
-        makespan,
-        commits,
-        aborts,
-        slots: heap.txn_slot_count(),
-        speedup: 0.0,
+    let ops = threads as u64 * ops_per_thread;
+    let throughput = per_mcycle(ops, makespan);
+    table.push(vec![
+        (if disjoint { "disjoint" } else { "contended" }).into(),
+        engine_label(versioning).into(),
+        threads.into(),
+        ops.into(),
+        makespan.into(),
+        throughput.into(),
+        speedup(base, threads, throughput).into(),
+        commits.into(),
+        aborts.into(),
+        heap.txn_slot_count().into(),
+    ]);
+}
+
+/// The lifecycle-scalability rows: every engine x {disjoint, contended} x
+/// [`THREADS`].
+fn scale_sweep(ops_per_thread: u64) -> Table {
+    let mut table = Table::new("scale", SCALE_COLUMNS).param("ops_per_thread", ops_per_thread);
+    for engine in ENGINES {
+        for disjoint in [true, false] {
+            let mut base = 0.0;
+            for threads in THREADS {
+                scale_case(&mut table, engine, threads, disjoint, ops_per_thread, &mut base);
+            }
+        }
     }
+    table
 }
 
 /// Transaction-lifecycle scalability: begin/commit throughput across a
 /// 1–16 thread sweep on the simulated multiprocessor, per engine, on one
 /// disjoint and one contended workload, quiescence on. Writes
-/// machine-readable rows to `BENCH_scale.json` next to the report.
+/// machine-readable rows to `BENCH_scale.json` in `dir`; fails only if that
+/// write fails.
 ///
 /// The disjoint sweep is the lock-free-lifecycle probe: no data ever
 /// conflicts, so throughput should scale near-linearly with threads — a
@@ -1087,30 +1006,8 @@ fn scale_case(
 /// exactly this curve. The slot column checks the registry's other
 /// promise: slots stay bounded by the thread count however many
 /// transactions churn through.
-pub fn scale(ops_per_thread: u64) -> String {
-    scale_to(ops_per_thread, std::path::Path::new("BENCH_scale.json"))
-}
-
-/// [`scale`] with an explicit artifact path (tests point it at a temporary
-/// directory).
-pub fn scale_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
-    use stm_core::config::Versioning;
-
-    let mut rows: Vec<ScaleRow> = Vec::new();
-    for engine in [Versioning::Eager, Versioning::Lazy] {
-        for disjoint in [true, false] {
-            let mut base = 0.0f64;
-            for threads in THREADS {
-                let mut row = scale_case(engine, threads, disjoint, ops_per_thread);
-                if threads == 1 {
-                    base = row.throughput();
-                }
-                row.speedup = row.throughput() / base.max(f64::MIN_POSITIVE);
-                rows.push(row);
-            }
-        }
-    }
-
+pub fn scale(ops_per_thread: u64, dir: &Path) -> io::Result<String> {
+    let table = scale_sweep(ops_per_thread);
     let mut out = String::new();
     writeln!(out, "== Transaction-lifecycle scalability: begin/commit under load ==\n").unwrap();
     writeln!(
@@ -1120,37 +1017,7 @@ pub fn scale_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          lifecycle overhead; slots = registry size after the run, bound = threads)\n"
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:<11} {:<7} {:>4} {:>8} {:>14} {:>9} {:>8} {:>7} {:>6}",
-        "workload", "engine", "thr", "ops", "ops/Mcycle", "speedup", "commits", "aborts", "slots"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<11} {:<7} {:>4} {:>8} {:>14.1} {:>8.2}x {:>8} {:>7} {:>6}",
-            r.workload,
-            r.engine,
-            r.threads,
-            r.ops,
-            r.throughput(),
-            r.speedup,
-            r.commits,
-            r.aborts,
-            r.slots,
-        )
-        .unwrap();
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"scale\",\"ops_per_thread\":{ops_per_thread},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(ScaleRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
+    table.emit(dir, &mut out)?;
     writeln!(
         out,
         "(disjoint speedup tracks the thread count because no transaction ever\n\
@@ -1158,75 +1025,48 @@ pub fn scale_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          curve flattens where real conflicts serialize the hot set)"
     )
     .unwrap();
-    out
+    Ok(out)
 }
 
-/// One measured cell of the multiversion read-concurrency experiment.
-struct MvRow {
-    mode: &'static str,
-    threads: usize,
-    ops: u64,
-    makespan: u64,
-    commits: u64,
-    aborts: u64,
-    /// Re-executions of declared read-only transactions (demotions to the
-    /// validated path) — the acceptance bar requires zero with the rings on.
-    ro_aborts: u64,
-    ro_fast_commits: u64,
-    mv_snapshot_reads: u64,
-    mv_ring_overflows: u64,
-    speedup: f64,
-}
-
-impl MvRow {
-    fn throughput(&self) -> f64 {
-        self.ops as f64 / (self.makespan.max(1) as f64 / 1e6)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"mode\":\"{}\",\"threads\":{},\"ops\":{},\"makespan_cycles\":{},\
-             \"throughput_ops_per_mcycle\":{:.3},\"speedup_vs_1_thread\":{:.3},\
-             \"commits\":{},\"aborts\":{},\"ro_aborts\":{},\"ro_fast_commits\":{},\
-             \"mv_snapshot_reads\":{},\"mv_ring_overflows\":{}}}",
-            self.mode,
-            self.threads,
-            self.ops,
-            self.makespan,
-            self.throughput(),
-            self.speedup,
-            self.commits,
-            self.aborts,
-            self.ro_aborts,
-            self.ro_fast_commits,
-            self.mv_snapshot_reads,
-            self.mv_ring_overflows,
-        )
-    }
-}
+/// The multiversion sweep's columns.
+const MV_COLUMNS: &[Column] = &[
+    Column::label("mode", "mode", 7),
+    THR,
+    Column::int("ops", "ops", 8),
+    MAKESPAN,
+    PER_MCYCLE,
+    SPEEDUP,
+    Column::int("commits", "commits", 8),
+    Column::int("aborts", "aborts", 7),
+    // Re-executions of declared read-only transactions (demotions to the
+    // validated path) — the acceptance bar requires zero with the rings on.
+    Column::int("ro_aborts", "ro-aborts", 9),
+    Column::int("ro_fast_commits", "ro-fast", 9),
+    Column::int("mv_snapshot_reads", "snap-reads", 10),
+    Column::int("mv_ring_overflows", "overflows", 9),
+];
 
 /// Runs one cell of the read-heavy contended sweep: `threads` workers on
 /// the simulated multiprocessor hammer a 4-object hot set. One in four
 /// workers is a writer (read-modify-write pairs, the `repro scale`
 /// contended body); the rest run declared read-only transactions scanning
 /// the hot set.
-fn mv_case(multiversion: bool, threads: usize, ops_per_thread: u64) -> MvRow {
-    use std::sync::Arc;
-    use stm_core::config::StmConfig;
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::{atomic, atomic_read_only_traced};
+fn mv_case(
+    table: &mut Table,
+    multiversion: bool,
+    threads: usize,
+    ops_per_thread: u64,
+    base: &mut f64,
+) {
+    use stm_core::txn::atomic_read_only_traced;
     use workloads::scale::run_workers;
 
-    let heap = Heap::new(StmConfig { multiversion, quiescence: true, ..StmConfig::default() });
-    let shape = heap.define_shape(Shape::new(
-        "Cell",
-        vec![FieldDef::int("n"), FieldDef::int("side")],
-    ));
-    let objects: Vec<_> = (0..4).map(|_| heap.alloc_public(shape)).collect();
+    let config = StmConfig { multiversion, quiescence: true, ..StmConfig::default() };
+    let (heap, objs) = heap_with_objects(config, "Cell", 4);
     // Commit one writer up front so every ring holds a version (a cold
     // ring would start every reader on the fallback path).
     atomic(&heap, |tx| {
-        for &o in &objects {
+        for &o in &objs {
             tx.write(o, 0, 1)?;
             tx.write(o, 1, 1)?;
         }
@@ -1234,16 +1074,9 @@ fn mv_case(multiversion: bool, threads: usize, ops_per_thread: u64) -> MvRow {
     });
 
     let worker_heap = Arc::clone(&heap);
-    let objs = objects.clone();
     let (makespan, commits, aborts, per_worker) =
         run_workers(&heap, threads, threads, move |t| {
-            let mut rng = 0x9E37_79B9u64.wrapping_mul(t as u64 + 1) | 1;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
+            let mut next = worker_rng(t);
             // 1-in-4 workers write; with 1 thread the single worker writes
             // (the baseline must pay the same writer costs it contends with
             // at scale).
@@ -1251,14 +1084,8 @@ fn mv_case(multiversion: bool, threads: usize, ops_per_thread: u64) -> MvRow {
             let mut demotions = 0u64;
             for i in 0..ops_per_thread {
                 if writer {
-                    let a = next() as usize % objs.len();
-                    let (a, b) = (objs[a], objs[(a + 1) % objs.len()]);
-                    atomic(&worker_heap, |tx| {
-                        let v = tx.read(a, 0)?;
-                        tx.write(a, 0, v + 1)?;
-                        let w = tx.read(b, 1)?;
-                        tx.write(b, 1, w.wrapping_add(i))
-                    });
+                    let (a, b) = hot_pair(&objs, &mut next);
+                    atomic(&worker_heap, |tx| rmw_pair(tx, a, b, i));
                 } else {
                     let (_, telem) = atomic_read_only_traced(&worker_heap, |tx| {
                         let mut sum = 0u64;
@@ -1274,47 +1101,44 @@ fn mv_case(multiversion: bool, threads: usize, ops_per_thread: u64) -> MvRow {
         });
     heap.audit().assert_clean();
     let snap = heap.stats().snapshot();
-    MvRow {
-        mode: if multiversion { "mv-on" } else { "mv-off" },
-        threads,
-        ops: threads as u64 * ops_per_thread,
-        makespan,
-        commits,
-        aborts,
-        ro_aborts: per_worker.iter().sum(),
-        ro_fast_commits: snap.ro_fast_commits,
-        mv_snapshot_reads: snap.mv_snapshot_reads,
-        mv_ring_overflows: snap.mv_ring_overflows,
-        speedup: 0.0,
+    let ops = threads as u64 * ops_per_thread;
+    let throughput = per_mcycle(ops, makespan);
+    table.push(vec![
+        (if multiversion { "mv-on" } else { "mv-off" }).into(),
+        threads.into(),
+        ops.into(),
+        makespan.into(),
+        throughput.into(),
+        speedup(base, threads, throughput).into(),
+        commits.into(),
+        aborts.into(),
+        per_worker.iter().sum::<u64>().into(),
+        snap.ro_fast_commits.into(),
+        snap.mv_snapshot_reads.into(),
+        snap.mv_ring_overflows.into(),
+    ]);
+}
+
+/// The multiversion rows: rings off, then on, each over [`THREADS`].
+fn mv_sweep(ops_per_thread: u64) -> Table {
+    let mut table = Table::new("mv", MV_COLUMNS).param("ops_per_thread", ops_per_thread);
+    for multiversion in [false, true] {
+        let mut base = 0.0;
+        for threads in THREADS {
+            mv_case(&mut table, multiversion, threads, ops_per_thread, &mut base);
+        }
     }
+    table
 }
 
 /// Multiversion read concurrency: the contended read-heavy sweep that the
 /// scale experiment's collapse motivated. 1–16 workers share a 4-object
 /// hot set, 3 of every 4 workers are declared read-only; the sweep runs
 /// with the version rings off (readers fight writers through validation)
-/// and on (readers commit wait-free from snapshots). Writes
-/// `BENCH_mv.json` next to the report.
-pub fn mv(ops_per_thread: u64) -> String {
-    mv_to(ops_per_thread, std::path::Path::new("BENCH_mv.json"))
-}
-
-/// [`mv`] with an explicit artifact path (tests point it at a temporary
-/// directory).
-pub fn mv_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
-    let mut rows: Vec<MvRow> = Vec::new();
-    for multiversion in [false, true] {
-        let mut base = 0.0f64;
-        for threads in THREADS {
-            let mut row = mv_case(multiversion, threads, ops_per_thread);
-            if threads == 1 {
-                base = row.throughput();
-            }
-            row.speedup = row.throughput() / base.max(f64::MIN_POSITIVE);
-            rows.push(row);
-        }
-    }
-
+/// and on (readers commit wait-free from snapshots). Writes `BENCH_mv.json`
+/// in `dir`; fails only if that write fails.
+pub fn mv(ops_per_thread: u64, dir: &Path) -> io::Result<String> {
+    let table = mv_sweep(ops_per_thread);
     let mut out = String::new();
     writeln!(out, "== Multiversion read concurrency: contended read-heavy sweep ==\n").unwrap();
     writeln!(
@@ -1324,40 +1148,7 @@ pub fn mv_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          validated path, mv-on = wait-free snapshots from the version rings)\n"
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:<7} {:>4} {:>8} {:>14} {:>9} {:>8} {:>7} {:>9} {:>9} {:>10} {:>9}",
-        "mode", "thr", "ops", "ops/Mcycle", "speedup", "commits", "aborts", "ro-aborts",
-        "ro-fast", "snap-reads", "overflows"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<7} {:>4} {:>8} {:>14.1} {:>8.2}x {:>8} {:>7} {:>9} {:>9} {:>10} {:>9}",
-            r.mode,
-            r.threads,
-            r.ops,
-            r.throughput(),
-            r.speedup,
-            r.commits,
-            r.aborts,
-            r.ro_aborts,
-            r.ro_fast_commits,
-            r.mv_snapshot_reads,
-            r.mv_ring_overflows,
-        )
-        .unwrap();
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"mv\",\"ops_per_thread\":{ops_per_thread},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(MvRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
+    table.emit(dir, &mut out)?;
     writeln!(
         out,
         "(the acceptance bar: mv-on at 16 workers beats its own 1-worker baseline\n\
@@ -1365,58 +1156,27 @@ pub fn mv_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          writer contention; overflowed readers fall back, they never spin)"
     )
     .unwrap();
-    out
+    Ok(out)
 }
 
-/// One measured cell of the overload experiment.
-struct OverloadRow {
-    workers: usize,
-    attempted: u64,
-    completed: u64,
-    shed: u64,
-    makespan: u64,
-    p50_latency: u64,
-    p99_latency: u64,
-    commits: u64,
-    aborts: u64,
-    deadline_aborts: u64,
-    retries_exhausted: u64,
-    admission_rejects: u64,
-    escalations: u64,
-    hung_workers: u64,
-}
-
-impl OverloadRow {
-    /// Committed operations per million simulated cycles.
-    fn throughput(&self) -> f64 {
-        self.completed as f64 / (self.makespan.max(1) as f64 / 1e6)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"workers\":{},\"attempted\":{},\"completed\":{},\"shed\":{},\
-             \"makespan_cycles\":{},\"throughput_ops_per_mcycle\":{:.3},\
-             \"p50_latency_cycles\":{},\"p99_latency_cycles\":{},\"commits\":{},\
-             \"aborts\":{},\"deadline_aborts\":{},\"retries_exhausted\":{},\
-             \"admission_rejects\":{},\"escalations_to_serial\":{},\"hung_workers\":{}}}",
-            self.workers,
-            self.attempted,
-            self.completed,
-            self.shed,
-            self.makespan,
-            self.throughput(),
-            self.p50_latency,
-            self.p99_latency,
-            self.commits,
-            self.aborts,
-            self.deadline_aborts,
-            self.retries_exhausted,
-            self.admission_rejects,
-            self.escalations,
-            self.hung_workers,
-        )
-    }
-}
+/// The overload sweep's columns.
+const OVERLOAD_COLUMNS: &[Column] = &[
+    Column::int("workers", "thr", 4),
+    Column::int("attempted", "attempted", 9),
+    Column::int("completed", "completed", 9),
+    Column::int("shed", "shed", 6),
+    MAKESPAN,
+    Column::float("throughput_ops_per_mcycle", "ops/Mcycle", 13, (2, 3)),
+    Column::int("p50_latency_cycles", "p50-lat", 9),
+    Column::int("p99_latency_cycles", "p99-lat", 9),
+    Column::int("commits", "commits", 8),
+    Column::int("aborts", "aborts", 8),
+    Column::int("deadline_aborts", "deadline", 8),
+    Column::int("retries_exhausted", "budget", 7),
+    Column::int("admission_rejects", "admit", 6),
+    Column::int("escalations_to_serial", "", 0),
+    Column::int("hung_workers", "hung", 5),
+];
 
 /// Runs one overload cell: `workers` hostile workers hammer a 2-object hot
 /// set where *every* transaction reads and writes *both* objects — a
@@ -1429,23 +1189,15 @@ impl OverloadRow {
 /// measured in virtual cycles with [`simsched::now`] (shed ops return
 /// almost instantly and would only dilute the distribution; they are
 /// reported in the `shed` column).
-fn overload_case(workers: usize, ops_per_worker: u64) -> OverloadRow {
+fn overload_case(table: &mut Table, workers: usize, ops_per_worker: u64) {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    use stm_core::config::{AdmissionConfig, StmConfig, TxnPolicy};
-    use stm_core::heap::{FieldDef, Heap, Shape};
+    use std::sync::Mutex;
+    use stm_core::config::{AdmissionConfig, TxnPolicy};
     use stm_core::txn::try_atomic_with;
     use workloads::scale::run_workers;
 
-    let heap = Heap::new(StmConfig {
-        admission: Some(AdmissionConfig::default()),
-        ..StmConfig::default()
-    });
-    let shape = heap.define_shape(Shape::new(
-        "Hot",
-        vec![FieldDef::int("n"), FieldDef::int("side")],
-    ));
-    let objects: Vec<_> = (0..2).map(|_| heap.alloc_public(shape)).collect();
+    let config = StmConfig { admission: Some(AdmissionConfig::default()), ..StmConfig::default() };
+    let (heap, objs) = heap_with_objects(config, "Hot", 2);
 
     let policy = TxnPolicy {
         deadline: Some(128),
@@ -1458,31 +1210,17 @@ fn overload_case(workers: usize, ops_per_worker: u64) -> OverloadRow {
     let finished = Arc::new(AtomicU64::new(0));
 
     let worker_heap = Arc::clone(&heap);
-    let objs = objects.clone();
     let lat = Arc::clone(&latencies);
     let fin = Arc::clone(&finished);
     let (makespan, commits, aborts, per_worker) =
         run_workers(&heap, workers, workers, move |t| {
-            let mut rng = 0x9E37_79B9u64.wrapping_mul(t as u64 + 1) | 1;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
+            let mut next = worker_rng(t);
             let mut shed = 0u64;
             let mut local = Vec::with_capacity(ops_per_worker as usize);
             for i in 0..ops_per_worker {
                 let t0 = simsched::now();
-                let a = next() as usize % objs.len();
-                let (a, b) = (objs[a], objs[(a + 1) % objs.len()]);
-                let r = try_atomic_with(&worker_heap, policy, |tx| {
-                    let v = tx.read(a, 0)?;
-                    tx.write(a, 0, v + 1)?;
-                    let w = tx.read(b, 1)?;
-                    tx.write(b, 1, w.wrapping_add(i))
-                });
-                if r.is_err() {
+                let (a, b) = hot_pair(&objs, &mut next);
+                if try_atomic_with(&worker_heap, policy, |tx| rmw_pair(tx, a, b, i)).is_err() {
                     shed += 1;
                 } else {
                     local.push(simsched::now().saturating_sub(t0));
@@ -1506,22 +1244,23 @@ fn overload_case(workers: usize, ops_per_worker: u64) -> OverloadRow {
     let attempted = workers as u64 * ops_per_worker;
     let shed: u64 = per_worker.iter().sum();
     let snap = heap.stats().snapshot();
-    OverloadRow {
-        workers,
-        attempted,
-        completed: attempted - shed,
-        shed,
-        makespan,
-        p50_latency: pct(0.50),
-        p99_latency: pct(0.99),
-        commits,
-        aborts,
-        deadline_aborts: snap.deadline_aborts,
-        retries_exhausted: snap.retries_exhausted,
-        admission_rejects: snap.admission_rejects,
-        escalations: snap.escalations_to_serial,
-        hung_workers: workers as u64 - finished.load(std::sync::atomic::Ordering::Relaxed),
-    }
+    table.push(vec![
+        workers.into(),
+        attempted.into(),
+        (attempted - shed).into(),
+        shed.into(),
+        makespan.into(),
+        per_mcycle(attempted - shed, makespan).into(),
+        pct(0.50).into(),
+        pct(0.99).into(),
+        commits.into(),
+        aborts.into(),
+        snap.deadline_aborts.into(),
+        snap.retries_exhausted.into(),
+        snap.admission_rejects.into(),
+        snap.escalations_to_serial.into(),
+        (workers as u64 - finished.load(Ordering::Relaxed)).into(),
+    ]);
 }
 
 /// Progress under hostility: 1–16 workers drive a zero-parallelism
@@ -1530,17 +1269,17 @@ fn overload_case(workers: usize, ops_per_worker: u64) -> OverloadRow {
 /// shedding load. The acceptance bars: throughput *plateaus* past its peak
 /// instead of collapsing (no point below 70% of peak), p99 virtual-time
 /// latency stays under the deadline-derived ceiling, and every worker
-/// finishes (zero hung workers). Writes `BENCH_overload.json` next to the
-/// report.
-pub fn overload(ops_per_worker: u64) -> String {
-    overload_to(ops_per_worker, std::path::Path::new("BENCH_overload.json"))
-}
-
-/// [`overload`] with an explicit artifact path (tests point it at a
-/// temporary directory).
-pub fn overload_to(ops_per_worker: u64, artifact: &std::path::Path) -> String {
-    let rows: Vec<OverloadRow> =
-        THREADS.iter().map(|&w| overload_case(w, ops_per_worker)).collect();
+/// finishes (zero hung workers). Writes `BENCH_overload.json` in `dir`;
+/// fails only if that write fails.
+///
+/// # Panics
+/// Panics if an acceptance bar fails.
+pub fn overload(ops_per_worker: u64, dir: &Path) -> io::Result<String> {
+    let mut table =
+        Table::new("overload", OVERLOAD_COLUMNS).param("ops_per_worker", ops_per_worker);
+    for workers in THREADS {
+        overload_case(&mut table, workers, ops_per_worker);
+    }
 
     let mut out = String::new();
     writeln!(out, "== Overload: progress guarantees past saturation ==\n").unwrap();
@@ -1555,61 +1294,25 @@ pub fn overload_to(ops_per_worker: u64, artifact: &std::path::Path) -> String {
          completed ops)\n"
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:>4} {:>9} {:>9} {:>6} {:>13} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7} {:>6} {:>5}",
-        "thr", "attempted", "completed", "shed", "ops/Mcycle", "p50-lat", "p99-lat", "commits",
-        "aborts", "deadline", "budget", "admit", "hung"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:>4} {:>9} {:>9} {:>6} {:>13.2} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7} {:>6} {:>5}",
-            r.workers,
-            r.attempted,
-            r.completed,
-            r.shed,
-            r.throughput(),
-            r.p50_latency,
-            r.p99_latency,
-            r.commits,
-            r.aborts,
-            r.deadline_aborts,
-            r.retries_exhausted,
-            r.admission_rejects,
-            r.hung_workers,
-        )
-        .unwrap();
-    }
+    table.emit(dir, &mut out)?;
 
-    let json = format!(
-        "{{\"experiment\":\"overload\",\"ops_per_worker\":{ops_per_worker},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(OverloadRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
-
-    let hung: u64 = rows.iter().map(|r| r.hung_workers).sum();
+    let rows: Vec<Row<'_>> = table.rows().collect();
+    let hung: u64 = rows.iter().map(|r| r.int("hung_workers")).sum();
     assert_eq!(hung, 0, "overload campaign left workers hung:\n{out}");
     // The plateau bar only engages on real runs: tiny smoke-test op counts
     // are startup-dominated and would measure noise, not the policy.
     if ops_per_worker >= 200 {
-        let peak = rows.iter().map(OverloadRow::throughput).fold(0.0f64, f64::max);
-        let peak_at = rows
-            .iter()
-            .position(|r| r.throughput() == peak)
-            .unwrap_or(0);
+        let throughput = |r: &Row<'_>| r.float("throughput_ops_per_mcycle");
+        let peak = rows.iter().map(throughput).fold(0.0f64, f64::max);
+        let peak_at = rows.iter().position(|r| throughput(r) == peak).unwrap_or(0);
         for r in &rows[peak_at..] {
             assert!(
-                r.throughput() >= 0.7 * peak,
+                throughput(r) >= 0.7 * peak,
                 "throughput collapsed past saturation: {:.2} < 70% of peak {:.2} \
                  at {} workers:\n{out}",
-                r.throughput(),
+                throughput(r),
                 peak,
-                r.workers
+                r.int("workers")
             );
         }
         // The p99 bound is the one the deadline *guarantees*: a block's
@@ -1619,7 +1322,7 @@ pub fn overload_to(ops_per_worker: u64, artifact: &std::path::Path) -> String {
         // ceiling here is that guarantee (deadline rounds x max per-round
         // backoff charge), not an empirical fudge factor.
         const P99_CEILING: u64 = 128 * 4096;
-        let worst_p99 = rows.iter().map(|r| r.p99_latency).max().unwrap_or(0);
+        let worst_p99 = rows.iter().map(|r| r.int("p99_latency_cycles")).max().unwrap_or(0);
         assert!(
             worst_p99 <= P99_CEILING,
             "p99 latency escaped the deadline-derived ceiling: {worst_p99} > \
@@ -1635,48 +1338,23 @@ pub fn overload_to(ops_per_worker: u64, artifact: &std::path::Path) -> String {
         )
         .unwrap();
     }
-    out
+    Ok(out)
 }
 
-/// One measured cell of the isolation-level experiment.
-struct IsoRow {
-    level: &'static str,
-    engine: &'static str,
-    threads: usize,
-    ops: u64,
-    elapsed_s: f64,
-    commits: u64,
-    aborts: u64,
-    snapshot_reads: u64,
-    snapshot_conflicts: u64,
-    barriers_elided: u64,
-}
-
-impl IsoRow {
-    fn throughput(&self) -> f64 {
-        self.ops as f64 / self.elapsed_s
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"level\":\"{}\",\"engine\":\"{}\",\"threads\":{},\"ops\":{},\
-             \"elapsed_s\":{:.6},\"throughput_ops_per_s\":{:.1},\"commits\":{},\
-             \"aborts\":{},\"snapshot_reads\":{},\"snapshot_conflicts\":{},\
-             \"barriers_elided\":{}}}",
-            self.level,
-            self.engine,
-            self.threads,
-            self.ops,
-            self.elapsed_s,
-            self.throughput(),
-            self.commits,
-            self.aborts,
-            self.snapshot_reads,
-            self.snapshot_conflicts,
-            self.barriers_elided,
-        )
-    }
-}
+/// The isolation cost sweep's columns.
+const ISOLATION_COLUMNS: &[Column] = &[
+    Column::label("level", "level", 11),
+    Column::label("engine", "engine", 7),
+    THR,
+    Column::int("ops", "", 0),
+    Column::float("elapsed_s", "", 0, (6, 6)),
+    Column::float("throughput_ops_per_s", "ops/s", 12, (0, 1)),
+    Column::int("commits", "commits", 9),
+    Column::int("aborts", "aborts", 7),
+    Column::int("snapshot_reads", "snap-read", 10),
+    Column::int("snapshot_conflicts", "snap-conf", 10),
+    Column::int("barriers_elided", "elided", 8),
+];
 
 /// Runs one isolation-level workload cell: a mixed transactional + barrier
 /// hammer on a small hot set, so each level's mechanism actually engages —
@@ -1684,40 +1362,21 @@ impl IsoRow {
 /// traffic, quiescence privatization elides the barriers entirely and pays
 /// commit-time quiescence instead.
 fn iso_case(
+    table: &mut Table,
     level: stm_core::config::IsolationLevel,
     versioning: stm_core::config::Versioning,
     threads: usize,
     ops_per_thread: u64,
-) -> IsoRow {
-    use std::sync::Arc;
-    use stm_core::config::{StmConfig, Versioning};
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::atomic;
-
-    let heap = Heap::new(StmConfig {
-        versioning,
-        isolation: level,
-        ..StmConfig::default()
-    });
-    let shape = heap.define_shape(Shape::new(
-        "Iso",
-        vec![FieldDef::int("n"), FieldDef::int("side")],
-    ));
-    let objects: Vec<_> = (0..4).map(|_| heap.alloc_public(shape)).collect();
+) {
+    let config = StmConfig { versioning, isolation: level, ..StmConfig::default() };
+    let (heap, objects) = heap_with_objects(config, "Iso", 4);
 
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let heap = Arc::clone(&heap);
-            let objects = objects.clone();
-            std::thread::spawn(move || {
-                let mut rng = 0x9E37_79B9u64.wrapping_mul(t as u64 + 1) | 1;
-                let mut next = move || {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    rng
-                };
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (heap, objects) = (&heap, &objects);
+            s.spawn(move || {
+                let mut next = worker_rng(t);
                 for i in 0..ops_per_thread {
                     let o = objects[next() as usize % objects.len()];
                     match next() % 4 {
@@ -1727,7 +1386,7 @@ fn iso_case(
                         // window in which a rival barrier store can land and
                         // trigger a first-committer-wins retry.
                         0 | 1 => {
-                            atomic(&heap, |tx| {
+                            atomic(heap, |tx| {
                                 let v = tx.read(o, 0)?;
                                 let _ = tx.read(o, 0)?;
                                 std::thread::yield_now();
@@ -1736,51 +1395,44 @@ fn iso_case(
                         }
                         // Barriered store to the side field: stamped under
                         // SI, elided under quiescence privatization.
-                        2 => stm_core::barrier::write_barrier(&heap, o, 1, i),
+                        2 => stm_core::barrier::write_barrier(heap, o, 1, i),
                         _ => {
-                            let _ = stm_core::barrier::read_barrier(&heap, o, 0);
+                            let _ = stm_core::barrier::read_barrier(heap, o, 0);
                         }
                     }
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+            });
+        }
+    });
     let elapsed_s = t0.elapsed().as_secs_f64();
     let snap = heap.stats_snapshot();
-    IsoRow {
-        level: level.label(),
-        engine: match versioning {
-            Versioning::Eager => "eager",
-            Versioning::Lazy => "lazy",
-        },
-        threads,
-        ops: threads as u64 * ops_per_thread,
-        elapsed_s,
-        commits: snap.commits,
-        aborts: snap.aborts,
-        snapshot_reads: snap.si_snapshot_reads,
-        snapshot_conflicts: snap.si_write_conflicts,
-        barriers_elided: snap.barriers_elided,
-    }
+    let ops = threads as u64 * ops_per_thread;
+    table.push(vec![
+        level.label().into(),
+        engine_label(versioning).into(),
+        threads.into(),
+        ops.into(),
+        elapsed_s.into(),
+        (ops as f64 / elapsed_s).into(),
+        snap.commits.into(),
+        snap.aborts.into(),
+        snap.si_snapshot_reads.into(),
+        snap.si_write_conflicts.into(),
+        snap.barriers_elided.into(),
+    ]);
 }
 
 /// Isolation-level spectrum: the machine-checked anomaly-witness matrix
 /// (strong atomicity vs snapshot isolation vs quiescence-only
 /// privatization, both engines) plus a mixed-workload cost sweep. Writes
-/// matrix cells and measured rows to `BENCH_isolation.json`.
-pub fn isolation(ops_per_thread: u64) -> String {
-    isolation_to(ops_per_thread, std::path::Path::new("BENCH_isolation.json"))
-}
-
-/// [`isolation`] with an explicit artifact path (tests point it at a
-/// temporary directory).
-pub fn isolation_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
+/// matrix cells and measured rows to `BENCH_isolation.json` in `dir`;
+/// fails only if that write fails.
+///
+/// # Panics
+/// Panics if the matrix diverges from the expected spectrum.
+pub fn isolation(ops_per_thread: u64, dir: &Path) -> io::Result<String> {
     use litmus::anomalies::{
-        engine_label, expected_isolation_matrix, isolation_matrix, render_isolation_matrix,
-        IsoAnomaly, ENGINES,
+        expected_isolation_matrix, isolation_matrix, render_isolation_matrix, IsoAnomaly,
     };
     use stm_core::config::IsolationLevel;
 
@@ -1822,40 +1474,7 @@ pub fn isolation_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
         }
     }
 
-    let mut rows: Vec<IsoRow> = Vec::new();
-    for level in IsolationLevel::ALL {
-        for engine in [
-            stm_core::config::Versioning::Eager,
-            stm_core::config::Versioning::Lazy,
-        ] {
-            rows.push(iso_case(level, engine, THREADS, ops_per_thread));
-        }
-    }
-
-    writeln!(
-        out,
-        "\n{:<11} {:<7} {:>4} {:>12} {:>9} {:>7} {:>10} {:>10} {:>8}",
-        "level", "engine", "thr", "ops/s", "commits", "aborts", "snap-read", "snap-conf", "elided"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<11} {:<7} {:>4} {:>12.0} {:>9} {:>7} {:>10} {:>10} {:>8}",
-            r.level,
-            r.engine,
-            r.threads,
-            r.throughput(),
-            r.commits,
-            r.aborts,
-            r.snapshot_reads,
-            r.snapshot_conflicts,
-            r.barriers_elided,
-        )
-        .unwrap();
-    }
-
-    let matrix_json = IsoAnomaly::ALL
+    let matrix: Vec<String> = IsoAnomaly::ALL
         .iter()
         .enumerate()
         .map(|(i, anomaly)| {
@@ -1876,18 +1495,20 @@ pub fn isolation_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
                 .join(",");
             format!("{{\"anomaly\":\"{}\",{}}}", anomaly.abbrev(), cells)
         })
-        .collect::<Vec<_>>()
-        .join(",\n  ");
-    let json = format!(
-        "{{\"experiment\":\"isolation\",\"threads\":{THREADS},\
-         \"ops_per_thread\":{ops_per_thread},\"matrix_matches_expected\":{matches},\
-         \"matrix\":[\n  {matrix_json}\n],\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(IsoRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
+        .collect();
+    let mut table = Table::new("isolation", ISOLATION_COLUMNS)
+        .param("threads", THREADS)
+        .param("ops_per_thread", ops_per_thread)
+        .param("matrix_matches_expected", matches)
+        .param("matrix", json_list(&matrix));
+    for level in IsolationLevel::ALL {
+        for engine in ENGINES {
+            iso_case(&mut table, level, engine, THREADS, ops_per_thread);
+        }
     }
+
+    out.push('\n');
+    table.emit(dir, &mut out)?;
     writeln!(
         out,
         "(snapshot isolation trades barrier blocking for first-committer-wins\n\
@@ -1896,51 +1517,26 @@ pub fn isolation_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
     )
     .unwrap();
     assert!(matches, "isolation anomaly matrix diverged from the expected spectrum:\n{out}");
-    out
+    Ok(out)
 }
 
-/// Runs every experiment (the `repro all` command).
-/// One measured cell of the clock validation-cost sweep.
-struct ClockRow {
-    mode: &'static str,
-    reads: usize,
-    threads: usize,
-    ops: u64,
-    makespan: u64,
-    commits: u64,
-    aborts: u64,
-    o1_validations: u64,
-    revalidations_skipped: u64,
-    rv_extensions: u64,
-    clock_cas_retries: u64,
-}
-
-impl ClockRow {
-    fn cycles_per_commit(&self) -> f64 {
-        self.makespan as f64 / self.commits.max(1) as f64
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"mode\":\"{}\",\"reads\":{},\"threads\":{},\"ops\":{},\
-             \"makespan_cycles\":{},\"cycles_per_commit\":{:.1},\"commits\":{},\
-             \"aborts\":{},\"o1_validations\":{},\"revalidations_skipped\":{},\
-             \"rv_extensions\":{},\"clock_cas_retries\":{}}}",
-            self.mode,
-            self.reads,
-            self.threads,
-            self.ops,
-            self.makespan,
-            self.cycles_per_commit(),
-            self.commits,
-            self.aborts,
-            self.o1_validations,
-            self.revalidations_skipped,
-            self.rv_extensions,
-            self.clock_cas_retries,
-        )
-    }
-}
+/// The clock sweep's columns. The text table shows `commits` before
+/// `cycles/commit`, the artifact after it, so it has a column for each.
+const CLOCK_COLUMNS: &[Column] = &[
+    Column::label("mode", "mode", 9),
+    Column::int("reads", "reads", 5),
+    THR,
+    Column::int("", "commits", 9),
+    Column::int("ops", "", 0),
+    MAKESPAN,
+    Column::float("cycles_per_commit", "cycles/commit", 13, (1, 1)),
+    Column::int("commits", "", 0),
+    Column::int("aborts", "aborts", 8),
+    Column::int("o1_validations", "o1-checks", 10),
+    Column::int("revalidations_skipped", "skipped", 9),
+    Column::int("rv_extensions", "extends", 8),
+    Column::int("clock_cas_retries", "cas-rty", 8),
+];
 
 /// One cell of the clock sweep: every worker's transaction scans a shared
 /// `reads`-object pool (written once at seed time, then read-only) and
@@ -1951,15 +1547,13 @@ impl ClockRow {
 /// clock the skip is unsound (stamps can duplicate), so every commit walks
 /// the whole read set.
 fn clock_case(
+    table: &mut Table,
     clock: stm_core::config::ClockMode,
     reads: usize,
     threads: usize,
     ops_per_thread: u64,
-) -> ClockRow {
-    use std::sync::Arc;
-    use stm_core::config::{ClockMode, StmConfig};
-    use stm_core::heap::{FieldDef, Heap, Shape};
-    use stm_core::txn::atomic;
+) {
+    use stm_core::config::ClockMode;
     use workloads::scale::run_workers;
 
     // Multiversion pinned off regardless of the ambient STM_MULTIVERSION:
@@ -1993,22 +1587,25 @@ fn clock_case(
     });
     heap.audit().assert_clean();
     let snap = heap.stats().snapshot();
-    ClockRow {
-        mode: match clock {
+    table.push(vec![
+        match clock {
             ClockMode::Global => "global",
             ClockMode::ThreadLocal => "tl-clock",
-        },
-        reads,
-        threads,
-        ops: threads as u64 * ops_per_thread,
-        makespan,
-        commits,
-        aborts,
-        o1_validations: snap.o1_validations,
-        revalidations_skipped: snap.revalidations_skipped,
-        rv_extensions: snap.rv_extensions,
-        clock_cas_retries: snap.clock_cas_retries,
-    }
+        }
+        .into(),
+        reads.into(),
+        threads.into(),
+        commits.into(),
+        (threads as u64 * ops_per_thread).into(),
+        makespan.into(),
+        (makespan as f64 / commits.max(1) as f64).into(),
+        commits.into(),
+        aborts.into(),
+        snap.o1_validations.into(),
+        snap.revalidations_skipped.into(),
+        snap.rv_extensions.into(),
+        snap.clock_cas_retries.into(),
+    ]);
 }
 
 /// The read-set sizes the clock sweep scales over.
@@ -2019,21 +1616,15 @@ pub const CLOCK_READS: [usize; 4] = [4, 16, 64, 256];
 /// thread-local (GV5) clock stands in for "before" — its duplicate-capable
 /// stamps force the full read-set walk at every commit — while the global
 /// clock commits O(1) via the `wv == rv + 1` skip. Writes
-/// `BENCH_clock.json` next to the report.
-pub fn clock(ops_per_thread: u64) -> String {
-    clock_to(ops_per_thread, std::path::Path::new("BENCH_clock.json"))
-}
-
-/// [`clock`] with an explicit artifact path (tests point it at a
-/// temporary directory).
-pub fn clock_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
+/// `BENCH_clock.json` in `dir`; fails only if that write fails.
+pub fn clock(ops_per_thread: u64, dir: &Path) -> io::Result<String> {
     use stm_core::config::ClockMode;
 
-    let mut rows: Vec<ClockRow> = Vec::new();
-    for mode in [ClockMode::Global, ClockMode::ThreadLocal] {
+    let mut table = Table::new("clock", CLOCK_COLUMNS).param("ops_per_thread", ops_per_thread);
+    for mode in ClockMode::ALL {
         for threads in [1usize, 8] {
             for reads in CLOCK_READS {
-                rows.push(clock_case(mode, reads, threads, ops_per_thread));
+                clock_case(&mut table, mode, reads, threads, ops_per_thread);
             }
         }
     }
@@ -2049,30 +1640,7 @@ pub fn clock_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          thread-local stamps, skip disabled, full read-set walk every commit)\n"
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:<9} {:>5} {:>4} {:>9} {:>13} {:>8} {:>10} {:>9} {:>8} {:>8}",
-        "mode", "reads", "thr", "commits", "cycles/commit", "aborts", "o1-checks", "skipped",
-        "extends", "cas-rty"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<9} {:>5} {:>4} {:>9} {:>13.1} {:>8} {:>10} {:>9} {:>8} {:>8}",
-            r.mode,
-            r.reads,
-            r.threads,
-            r.commits,
-            r.cycles_per_commit(),
-            r.aborts,
-            r.o1_validations,
-            r.revalidations_skipped,
-            r.rv_extensions,
-            r.clock_cas_retries,
-        )
-        .unwrap();
-    }
+    table.emit(dir, &mut out)?;
 
     // The flatness readout: per-commit cost growth from the smallest to
     // the largest read set, single-threaded (deterministic under the cost
@@ -2080,10 +1648,13 @@ pub fn clock_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
     // adds the per-entry validation walk on top.
     let slope = |mode: &str| {
         let cell = |reads: usize| {
-            rows.iter()
-                .find(|r| r.mode == mode && r.threads == 1 && r.reads == reads)
-                .map(ClockRow::cycles_per_commit)
-                .unwrap_or(0.0)
+            table
+                .rows()
+                .find(|r| {
+                    let (m, t, n) = (r.text("mode"), r.int("threads"), r.int("reads"));
+                    m == mode && t == 1 && n == reads as u64
+                })
+                .map_or(0.0, |r| r.float("cycles_per_commit"))
         };
         let (lo, hi) = (CLOCK_READS[0], CLOCK_READS[CLOCK_READS.len() - 1]);
         (cell(hi) - cell(lo)) / (hi - lo) as f64
@@ -2104,55 +1675,25 @@ pub fn clock_to(ops_per_thread: u64, artifact: &std::path::Path) -> String {
          is strictly steeper, paying one validation per read-set entry at commit)"
     )
     .unwrap();
-
-    let json = format!(
-        "{{\"experiment\":\"clock\",\"ops_per_thread\":{ops_per_thread},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(ClockRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
-    out
+    Ok(out)
 }
 
-/// One measured cell of the bytecode-VM sweep: a workload × scale × engine.
-struct VmBenchRow {
-    workload: &'static str,
-    scale: u32,
-    engine: &'static str,
-    wall_ns: u64,
-    executed: u64,
-    elided: u64,
-    aggregated: u64,
-    regions: u64,
-    sim_cycles: u64,
-}
-
-impl VmBenchRow {
-    /// Scale-1 workload executions per second of wall time.
-    fn throughput(&self) -> f64 {
-        self.scale as f64 * 1e9 / self.wall_ns.max(1) as f64
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"scale\":{},\"engine\":\"{}\",\"wall_ns\":{},\
-             \"throughput\":{:.2},\"executed\":{},\"elided\":{},\"aggregated\":{},\
-             \"regions\":{},\"sim_cycles\":{}}}",
-            self.workload,
-            self.scale,
-            self.engine,
-            self.wall_ns,
-            self.throughput(),
-            self.executed,
-            self.elided,
-            self.aggregated,
-            self.regions,
-            self.sim_cycles,
-        )
-    }
-}
+/// The bytecode-VM sweep's columns: one row per workload × scale × engine.
+/// The artifact carries wall time in ns, the text table in ms.
+const VM_COLUMNS: &[Column] = &[
+    Column::label("workload", "workload", 8),
+    Column::int("scale", "scale", 5),
+    Column::label("engine", "engine", 10),
+    Column::int("wall_ns", "", 0),
+    Column::float("", "wall_ms", 12, (3, 3)),
+    // Scale-1 workload executions per second of wall time.
+    Column::float("throughput", "runs/sec", 12, (1, 2)),
+    Column::int("executed", "executed", 9),
+    Column::int("elided", "elided", 8),
+    Column::int("aggregated", "aggr", 7),
+    Column::int("regions", "regions", 7),
+    Column::int("sim_cycles", "sim_cycles", 12),
+];
 
 /// Simulated barrier cost of one run under the simsched cost model: every
 /// executed barrier pays its full price, every elided access a plain
@@ -2219,51 +1760,42 @@ fn vm_engine_run(
 /// The bytecode-VM shootout: tree-walking interpreter vs bytecode VM vs
 /// VM with all barrier passes (final-field + escape + NAIT elision, then
 /// Figure-14 aggregation), swept over the scaled TMIR benchmark suite.
-/// Writes `BENCH_vm.json` next to the report.
-pub fn vm(scale: u32) -> String {
-    vm_to(scale, std::path::Path::new("BENCH_vm.json"))
-}
-
-/// [`vm`] with an explicit artifact path (tests point it at a temporary
-/// directory).
+/// Writes `BENCH_vm.json` in `dir`; fails only if that write fails.
 ///
 /// # Panics
 /// Panics if the barrier passes fail to strictly reduce executed barriers,
 /// or (release builds only) if the VM is not at least 2x the interpreter
 /// on the interpreter-bound jvm98 suite at the largest scale.
-pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
+pub fn vm(scale: u32, dir: &Path) -> io::Result<String> {
     let top = scale.max(1);
     let mut scales = vec![1, (top / 8).max(1), top];
     scales.sort_unstable();
     scales.dedup();
 
-    let mut rows: Vec<VmBenchRow> = Vec::new();
+    let mut table = Table::new("vm", VM_COLUMNS).param("scale", top);
     for &s in &scales {
         for (name, checked) in workloads::tmir_sources::scaled_suite(s) {
             for engine in VM_ENGINES {
                 // Best-of-3 to shave scheduler noise off the wall clock.
-                let mut best: Option<VmBenchRow> = None;
-                for _ in 0..3 {
-                    let (wall_ns, stats, bars) = vm_engine_run(&checked, engine);
-                    let row = VmBenchRow {
-                        workload: name,
-                        scale: s,
-                        engine,
-                        wall_ns,
-                        executed: bars
-                            .as_ref()
-                            .map(|b| b.executed)
-                            .unwrap_or(stats.read_barriers + stats.write_barriers),
-                        elided: bars.as_ref().map(|b| b.elided).unwrap_or(0),
-                        aggregated: bars.as_ref().map(|b| b.aggregated).unwrap_or(0),
-                        regions: bars.as_ref().map(|b| b.regions).unwrap_or(0),
-                        sim_cycles: vm_sim_cycles(&stats, bars.as_ref()),
-                    };
-                    if best.as_ref().is_none_or(|b| row.wall_ns < b.wall_ns) {
-                        best = Some(row);
-                    }
-                }
-                rows.push(best.unwrap());
+                let (wall_ns, stats, bars) = (0..3)
+                    .map(|_| vm_engine_run(&checked, engine))
+                    .min_by_key(|run| run.0)
+                    .expect("three runs");
+                table.push(vec![
+                    name.into(),
+                    u64::from(s).into(),
+                    engine.into(),
+                    wall_ns.into(),
+                    (wall_ns as f64 / 1e6).into(),
+                    (f64::from(s) * 1e9 / wall_ns.max(1) as f64).into(),
+                    bars.as_ref()
+                        .map_or(stats.read_barriers + stats.write_barriers, |b| b.executed)
+                        .into(),
+                    bars.as_ref().map_or(0, |b| b.elided).into(),
+                    bars.as_ref().map_or(0, |b| b.aggregated).into(),
+                    bars.as_ref().map_or(0, |b| b.regions).into(),
+                    vm_sim_cycles(&stats, bars.as_ref()).into(),
+                ]);
             }
         }
     }
@@ -2277,50 +1809,25 @@ pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
          served inside a fused region; throughput = scale-1 workload runs/sec)\n"
     )
     .unwrap();
-    writeln!(
-        out,
-        "{:<8} {:>5} {:<10} {:>12} {:>12} {:>9} {:>8} {:>7} {:>7} {:>12}",
-        "workload", "scale", "engine", "wall_ms", "runs/sec", "executed", "elided", "aggr",
-        "regions", "sim_cycles"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "{:<8} {:>5} {:<10} {:>12.3} {:>12.1} {:>9} {:>8} {:>7} {:>7} {:>12}",
-            r.workload,
-            r.scale,
-            r.engine,
-            r.wall_ns as f64 / 1e6,
-            r.throughput(),
-            r.executed,
-            r.elided,
-            r.aggregated,
-            r.regions,
-            r.sim_cycles,
-        )
-        .unwrap();
-    }
+    table.emit(dir, &mut out)?;
 
     // Acceptance readouts, evaluated at the largest scale.
-    let cell = |w: &str, e: &str| {
-        rows.iter().find(|r| r.workload == w && r.engine == e && r.scale == top).unwrap()
+    let at_top = |r: &Row<'_>| r.int("scale") == u64::from(top);
+    let wall = |w: &str, e: &str| {
+        let run = |r: &Row<'_>| at_top(r) && r.text("workload") == w && r.text("engine") == e;
+        let cell = table.rows().find(run).expect("every workload runs on every engine");
+        cell.int("wall_ns").max(1) as f64
     };
     writeln!(out, "\nVM speedup over interpreter (scale {top}):").unwrap();
     for (name, _) in workloads::tmir_sources::scaled_suite(1) {
-        let speedup = cell(name, "interp").wall_ns as f64 / cell(name, "vm").wall_ns.max(1) as f64;
-        writeln!(out, "  {name:<8} {speedup:.2}x").unwrap();
+        writeln!(out, "  {name:<8} {:.2}x", wall(name, "interp") / wall(name, "vm")).unwrap();
     }
-    let jvm98_speedup =
-        cell("jvm98", "interp").wall_ns as f64 / cell("jvm98", "vm").wall_ns.max(1) as f64;
-    let (exec_vm, exec_opt, sim_vm, sim_opt) = rows.iter().filter(|r| r.scale == top).fold(
-        (0u64, 0u64, 0u64, 0u64),
-        |(ev, eo, sv, so), r| match r.engine {
-            "vm" => (ev + r.executed, eo, sv + r.sim_cycles, so),
-            "vm+passes" => (ev, eo + r.executed, sv, so + r.sim_cycles),
-            _ => (ev, eo, sv, so),
-        },
-    );
+    let jvm98_speedup = wall("jvm98", "interp") / wall("jvm98", "vm");
+    let total = |engine: &str, key: &str| -> u64 {
+        table.rows().filter(|r| at_top(r) && r.text("engine") == engine).map(|r| r.int(key)).sum()
+    };
+    let (exec_vm, exec_opt) = (total("vm", "executed"), total("vm+passes", "executed"));
+    let (sim_vm, sim_opt) = (total("vm", "sim_cycles"), total("vm+passes", "sim_cycles"));
     writeln!(
         out,
         "barriers executed at scale {top}: vm={exec_vm} vm+passes={exec_opt} \
@@ -2344,21 +1851,14 @@ pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
          interpreter-bound jvm98 suite runs >= 2x faster on the bytecode VM)"
     )
     .unwrap();
-
-    let json = format!(
-        "{{\"experiment\":\"vm\",\"scale\":{top},\"rows\":[\n  {}\n]}}\n",
-        rows.iter().map(VmBenchRow::json).collect::<Vec<_>>().join(",\n  ")
-    );
-    match std::fs::write(artifact, &json) {
-        Ok(()) => writeln!(out, "\nwrote {} ({} rows)", artifact.display(), rows.len()).unwrap(),
-        Err(e) => writeln!(out, "\nfailed to write {}: {e}", artifact.display()).unwrap(),
-    }
-    out
+    Ok(out)
 }
 
 /// Every experiment in sequence — the `repro all` entry point
 /// (EXPERIMENTS.md's content, minus the long-running chaos campaign).
-pub fn all(scale: usize) -> String {
+/// Writes each sweep's `BENCH_*.json` into `dir`; fails only if such a
+/// write fails.
+pub fn all(scale: usize, dir: &Path) -> io::Result<String> {
     let mut out = String::new();
     for part in [
         figs_1_to_5(),
@@ -2372,22 +1872,35 @@ pub fn all(scale: usize) -> String {
         fig19(),
         fig20(),
         contention(),
-        granularity(2000),
-        self::scale(400),
-        isolation(2000),
-        mv(400),
-        clock(400),
-        vm(8),
+        granularity(2000, dir)?,
+        self::scale(400, dir)?,
+        isolation(2000, dir)?,
+        mv(400, dir)?,
+        clock(400, dir)?,
+        vm(8, dir)?,
     ] {
         out.push_str(&part);
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `sweep` into a per-test directory, checks that it wrote and
+    /// named `BENCH_<name>.json`, and returns its report and that artifact.
+    fn run_sweep(name: &str, sweep: impl FnOnce(&Path) -> io::Result<String>) -> (String, String) {
+        let dir = std::env::temp_dir().join(format!("bench-{name}-test"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = sweep(&dir).unwrap();
+        let file = format!("BENCH_{name}.json");
+        assert!(s.contains(&file), "{s}");
+        let json = std::fs::read_to_string(dir.join(&file)).expect("JSON artifact written");
+        assert!(json.contains(&format!("\"experiment\":\"{name}\"")), "{json}");
+        (s, json)
+    }
 
     #[test]
     fn fig6_reports_match() {
@@ -2421,21 +1934,15 @@ mod tests {
 
     #[test]
     fn vm_reports_and_emits_json() {
-        let dir = std::env::temp_dir().join("bench-vm-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_vm.json");
-        // Tiny scale: vm_to asserts the strict barrier reduction internally
+        // Tiny scale: vm asserts the strict barrier reduction internally
         // (the >=2x speedup bar only applies to release builds).
-        let s = vm_to(2, &artifact);
+        let (s, json) = run_sweep("vm", |dir| vm(2, dir));
         for engine in VM_ENGINES {
             assert!(s.contains(engine), "missing engine {engine}: {s}");
         }
         for w in ["jvm98", "tsp", "oo7", "jbb"] {
             assert!(s.contains(w), "missing workload {w}: {s}");
         }
-        assert!(s.contains("BENCH_vm.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"vm\""), "{json}");
         assert!(json.contains("\"engine\":\"vm+passes\""), "{json}");
         assert!(json.contains("\"aggregated\""), "{json}");
     }
@@ -2466,20 +1973,14 @@ mod tests {
 
     #[test]
     fn isolation_reports_and_emits_json() {
-        let dir = std::env::temp_dir().join("bench-isolation-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_isolation.json");
         // Tiny op count: this test checks shape (and the embedded anomaly
-        // matrix, which isolation_to asserts internally), not performance.
-        let s = isolation_to(40, &artifact);
+        // matrix, which isolation asserts internally), not performance.
+        let (s, json) = run_sweep("isolation", |dir| isolation(40, dir));
 
         assert!(s.contains("matches expected spectrum: YES"), "{s}");
         for label in ["strong", "snapshot", "quiescence"] {
             assert!(s.contains(label), "missing {label}: {s}");
         }
-        assert!(s.contains("BENCH_isolation.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"isolation\""), "{json}");
         assert!(json.contains("\"matrix_matches_expected\":true"), "{json}");
         assert!(json.contains("\"anomaly\":\"WS\""), "{json}");
         assert!(json.contains("\"level\":\"quiescence\""), "{json}");
@@ -2487,109 +1988,75 @@ mod tests {
 
     #[test]
     fn granularity_reports_and_emits_json() {
-        let dir = std::env::temp_dir().join("bench-granularity-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_granularity.json");
         // Tiny op count: this test checks shape, not performance.
-        let s = granularity_to(40, &artifact);
+        let (s, json) = run_sweep("granularity", |dir| granularity(40, dir));
 
         assert!(s.contains("per-object"), "{s}");
         assert!(s.contains("striped:1024"), "{s}");
-        assert!(s.contains("BENCH_granularity.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"granularity\""), "{json}");
         assert!(json.contains("\"workload\":\"disjoint\""), "{json}");
         assert!(json.contains("\"false_conflict_rate\":null"), "{json}");
     }
 
     #[test]
     fn scale_reports_emit_json_and_disjoint_scales() {
-        let dir = std::env::temp_dir().join("bench-scale-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_scale.json");
-        let s = scale_to(120, &artifact);
-
-        assert!(s.contains("disjoint"), "{s}");
-        assert!(s.contains("contended"), "{s}");
-        assert!(s.contains("eager"), "{s}");
-        assert!(s.contains("lazy"), "{s}");
-        assert!(s.contains("BENCH_scale.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"scale\""), "{json}");
+        let table = scale_sweep(120);
+        let (s, json) = run_sweep("scale", |dir| {
+            let mut s = String::new();
+            table.emit(dir, &mut s).map(|()| s)
+        });
+        for label in ["disjoint", "contended", "eager", "lazy"] {
+            assert!(s.contains(label), "missing {label}: {s}");
+        }
         assert!(json.contains("\"threads\":16"), "{json}");
 
         // The acceptance bar: with no data conflicts, 8 threads must reach
-        // at least 2.5x the 1-thread throughput in simulated time. Parse it
-        // back out of the artifact rather than re-measuring.
+        // at least 2.5x the 1-thread throughput in simulated time.
         let mut checked = 0;
-        for row in json.split('{').filter(|r| r.contains("\"workload\":\"disjoint\"")) {
-            if !row.contains("\"threads\":8,") {
-                continue;
+        for row in table.rows().filter(|r| r.text("workload") == "disjoint") {
+            if row.int("threads") == 8 {
+                let speedup = row.float("speedup_vs_1_thread");
+                assert!(speedup >= 2.5, "disjoint 8-thread speedup {speedup} < 2.5x:\n{s}");
+                checked += 1;
             }
-            let speedup: f64 = row
-                .split("\"speedup_vs_1_thread\":")
-                .nth(1)
-                .and_then(|s| s.split(',').next())
-                .and_then(|s| s.parse().ok())
-                .expect("speedup field");
-            assert!(speedup >= 2.5, "disjoint 8-thread speedup {speedup} < 2.5x:\n{s}");
-            checked += 1;
         }
-        assert_eq!(checked, 2, "expected one 8-thread disjoint row per engine:\n{json}");
+        assert_eq!(checked, 2, "expected one 8-thread disjoint row per engine:\n{s}");
     }
 
     #[test]
     fn mv_reports_wait_free_readers_and_emit_json() {
-        let dir = std::env::temp_dir().join("bench-mv-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_mv.json");
-        let s = mv_to(150, &artifact);
-
+        let table = mv_sweep(150);
+        let (s, _) = run_sweep("mv", |dir| {
+            let mut s = String::new();
+            table.emit(dir, &mut s).map(|()| s)
+        });
         assert!(s.contains("mv-off"), "{s}");
         assert!(s.contains("mv-on"), "{s}");
-        assert!(s.contains("BENCH_mv.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"mv\""), "{json}");
 
-        // The acceptance bar, parsed back out of the artifact: the mv-on
-        // contended read-heavy mix at 16 workers beats its own 1-worker
-        // baseline, read-only fast commits actually fired, and no declared
-        // read-only transaction ever aborted or demoted.
+        // The acceptance bar: the mv-on contended read-heavy mix at 16
+        // workers beats its own 1-worker baseline, read-only fast commits
+        // actually fired, and no declared read-only transaction ever
+        // aborted or demoted.
         let mut checked = 0;
-        for row in json.split('{').filter(|r| r.contains("\"mode\":\"mv-on\"")) {
-            let field = |name: &str| -> f64 {
-                row.split(&format!("\"{name}\":"))
-                    .nth(1)
-                    .and_then(|s| s.split([',', '}']).next())
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("field {name} in {row}"))
-            };
-            assert_eq!(field("ro_aborts") as u64, 0, "RO txn aborted/demoted:\n{row}");
-            if row.contains("\"threads\":16,") {
+        for row in table.rows().filter(|r| r.text("mode") == "mv-on") {
+            assert_eq!(row.int("ro_aborts"), 0, "RO txn aborted/demoted:\n{s}");
+            if row.int("threads") == 16 {
                 assert!(
-                    field("speedup_vs_1_thread") > 1.0,
+                    row.float("speedup_vs_1_thread") > 1.0,
                     "mv-on 16-worker read-heavy speedup did not beat 1 thread:\n{s}"
                 );
-                assert!(field("ro_fast_commits") > 0.0, "no RO fast commits:\n{row}");
+                assert!(row.int("ro_fast_commits") > 0, "no RO fast commits:\n{s}");
                 checked += 1;
             }
         }
-        assert_eq!(checked, 1, "expected one mv-on 16-worker row:\n{json}");
+        assert_eq!(checked, 1, "expected one mv-on 16-worker row:\n{s}");
     }
 
     #[test]
     fn overload_reports_and_emits_json() {
-        let dir = std::env::temp_dir().join("bench-overload-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_overload.json");
         // Tiny op count: this test checks shape and the zero-hung-workers
-        // bar (asserted inside overload_to); the CI overload job runs the
+        // bar (asserted inside overload); the CI overload job runs the
         // full campaign in release mode with the plateau bars engaged.
-        let s = overload_to(60, &artifact);
-
-        assert!(s.contains("BENCH_overload.json"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"overload\""), "{json}");
+        let (_, json) = run_sweep("overload", |dir| overload(60, dir));
         assert!(json.contains("\"workers\":16"), "{json}");
         assert!(json.contains("\"deadline_aborts\""), "{json}");
         assert!(json.contains("\"admission_rejects\""), "{json}");
@@ -2598,16 +2065,10 @@ mod tests {
 
     #[test]
     fn clock_reports_o1_commits_and_emits_json() {
-        let dir = std::env::temp_dir().join("bench-clock-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("BENCH_clock.json");
         // Tiny op count: this test checks the O(1)-commit identities and
         // the artifact shape, not performance.
-        let s = clock_to(60, &artifact);
-        assert!(s.contains("BENCH_clock.json"), "{s}");
+        let (s, json) = run_sweep("clock", |dir| clock(60, dir));
         assert!(s.contains("marginal cycles per extra read"), "{s}");
-        let json = std::fs::read_to_string(&artifact).expect("JSON artifact written");
-        assert!(json.contains("\"experiment\":\"clock\""), "{json}");
         assert!(json.contains("\"mode\":\"global\""), "{json}");
         assert!(json.contains("\"mode\":\"tl-clock\""), "{json}");
         assert!(json.contains("\"reads\":256"), "{json}");
@@ -2618,29 +2079,48 @@ mod tests {
         // does, and the tl-clock per-commit cost therefore grows strictly
         // faster with the read-set size than the global one.
         use stm_core::config::ClockMode;
-        for reads in CLOCK_READS {
-            let g = clock_case(ClockMode::Global, reads, 1, 40);
-            assert_eq!(
-                g.revalidations_skipped, g.commits,
-                "global @ {reads} reads: every single-threaded commit must skip"
-            );
-            assert_eq!(g.aborts, 0, "global @ {reads} reads: disjoint writes never abort");
-            let t = clock_case(ClockMode::ThreadLocal, reads, 1, 40);
-            assert_eq!(
-                t.revalidations_skipped, 0,
-                "tl-clock @ {reads} reads: the skip must stay disabled"
-            );
+        let mut table = Table::new("clock", CLOCK_COLUMNS);
+        for mode in ClockMode::ALL {
+            for reads in CLOCK_READS {
+                clock_case(&mut table, mode, reads, 1, 40);
+            }
         }
-        let cpc = |mode: ClockMode, reads: usize| {
-            clock_case(mode, reads, 1, 40).cycles_per_commit()
+        for r in table.rows() {
+            let reads = r.int("reads");
+            if r.text("mode") == "global" {
+                assert_eq!(
+                    r.int("revalidations_skipped"),
+                    r.int("commits"),
+                    "global @ {reads} reads: every single-threaded commit must skip"
+                );
+                let aborts = r.int("aborts");
+                assert_eq!(aborts, 0, "global @ {reads} reads: disjoint writes never abort");
+            } else {
+                assert_eq!(
+                    r.int("revalidations_skipped"),
+                    0,
+                    "tl-clock @ {reads} reads: the skip must stay disabled"
+                );
+            }
+        }
+        let cpc = |mode: &str, reads: u64| {
+            let row = table.rows().find(|r| r.text("mode") == mode && r.int("reads") == reads);
+            row.expect("swept").float("cycles_per_commit")
         };
-        let g_slope = cpc(ClockMode::Global, 256) - cpc(ClockMode::Global, 4);
-        let t_slope = cpc(ClockMode::ThreadLocal, 256) - cpc(ClockMode::ThreadLocal, 4);
+        let g_slope = cpc("global", 256) - cpc("global", 4);
+        let t_slope = cpc("tl-clock", 256) - cpc("tl-clock", 4);
         assert!(
             g_slope < t_slope,
             "commit must be O(1) on the global clock: \
              global growth {g_slope:.1} cycles !< tl-clock growth {t_slope:.1}"
         );
+    }
+
+    #[test]
+    fn a_failed_artifact_write_is_an_error() {
+        let missing = std::env::temp_dir().join("bench-missing-test").join("no-such-dir");
+        let err = clock(4, &missing).expect_err("the artifact directory does not exist");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     }
 
     #[test]

@@ -48,55 +48,40 @@
 //! ```
 
 use bench::experiments as ex;
+use std::path::Path;
+use std::str::FromStr;
+
+/// The experiment's numeric argument (ops, or scale), or `default`.
+fn arg_or<T: FromStr>(args: &[String], default: T) -> T {
+    args.get(1).and_then(|s| s.parse().ok()).unwrap_or(default)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
-    let scale: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let scale: usize = arg_or(&args, 2);
+    // Sweeps write their BENCH_<name>.json into the working directory.
+    let dir = Path::new(".");
     let out = match which {
-        "all" => ex::all(scale),
-        "fig1" | "fig2" | "fig3" | "fig4" | "fig5" => ex::figs_1_to_5(),
-        "fig6" => ex::fig6(),
-        "fig13" => ex::fig13(),
-        "fig14" => ex::fig14(),
-        "fig15" => ex::fig15(scale),
-        "fig16" => ex::fig16(scale),
-        "fig17" => ex::fig17(scale),
-        "fig18" => ex::fig18(),
-        "fig19" => ex::fig19(),
-        "fig20" => ex::fig20(),
-        "contention" => ex::contention(),
-        "granularity" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-            ex::granularity(ops)
-        }
-        "scale" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-            ex::scale(ops)
-        }
-        "isolation" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-            ex::isolation(ops)
-        }
-        "mv" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-            ex::mv(ops)
-        }
-        "overload" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(400);
-            ex::overload(ops)
-        }
-        "clock" => {
-            let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-            ex::clock(ops)
-        }
-        "vm" => {
-            let scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
-            ex::vm(scale)
-        }
+        "all" => ex::all(scale, dir),
+        "fig1" | "fig2" | "fig3" | "fig4" | "fig5" => Ok(ex::figs_1_to_5()),
+        "fig6" => Ok(ex::fig6()),
+        "fig13" => Ok(ex::fig13()),
+        "fig14" => Ok(ex::fig14()),
+        "fig15" => Ok(ex::fig15(scale)),
+        "fig16" => Ok(ex::fig16(scale)),
+        "fig17" => Ok(ex::fig17(scale)),
+        "fig18" => Ok(ex::fig18()),
+        "fig19" => Ok(ex::fig19()),
+        "fig20" => Ok(ex::fig20()),
+        "contention" => Ok(ex::contention()),
+        "granularity" => ex::granularity(arg_or(&args, 2000), dir),
+        "scale" => ex::scale(arg_or(&args, 2000), dir),
+        "isolation" => ex::isolation(arg_or(&args, 2000), dir),
+        "mv" => ex::mv(arg_or(&args, 2000), dir),
+        "overload" => ex::overload(arg_or(&args, 400), dir),
+        "clock" => ex::clock(arg_or(&args, 2000), dir),
+        "vm" => ex::vm(arg_or(&args, 32), dir),
         "chaos" => {
             let mut first = 1u64;
             let mut count = 32u64;
@@ -117,7 +102,7 @@ fn main() {
                 }
                 i += 1;
             }
-            ex::chaos(first, count)
+            Ok(ex::chaos(first, count))
         }
         other => {
             eprintln!(
@@ -127,5 +112,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("{out}");
+    match out {
+        Ok(report) => println!("{report}"),
+        Err(e) => {
+            eprintln!("repro {which}: {e}");
+            std::process::exit(1);
+        }
+    }
 }
