@@ -8,8 +8,8 @@
 //!   back before the unwind resumes, so the record is released immediately
 //!   and barriers never notice;
 //! * **rollback off, watchdog on** — the record is stranded, but a barrier
-//!   that exceeds its spin budget consults the liveness registry, replays
-//!   the dead owner's mirrored undo log, and releases the record itself;
+//!   that exceeds its spin budget finds the owner dead in its registry
+//!   slot, replays the mirrored undo log, and releases the record itself;
 //! * **both off** — the classic failure the paper's protocol assumes away:
 //!   the record stays `Exclusive` forever, every barrier wedges, and only
 //!   [`Heap::audit`] tells you why.

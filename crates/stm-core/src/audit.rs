@@ -11,8 +11,8 @@
 //!   and release are straight-line code);
 //! * version numbers never regress between audits of the same heap (the
 //!   release protocol only ever adds);
-//! * the liveness registry holds no dead descriptors (every recovery log
-//!   was drained — undo entries replayed, records released);
+//! * the transaction registry holds no dead owner (every recovery log was
+//!   drained — undo entries replayed, records released);
 //! * under dynamic escape analysis, no *public* object's reference field
 //!   points at a *private* object (privacy would be violated the moment
 //!   another thread followed the reference).
@@ -43,7 +43,7 @@ pub enum AuditFinding {
         obj: ObjRef,
         /// The owner-token word holding it.
         owner_word: usize,
-        /// Whether the liveness registry knows this owner is dead (a dead
+        /// Whether the owner's registry slot says it died unfinished (a dead
         /// owner here means the watchdog never ran or was disabled).
         owner_dead: bool,
     },
@@ -63,8 +63,8 @@ pub enum AuditFinding {
         /// Version observed now.
         after: usize,
     },
-    /// The liveness registry still lists a dead owner — its recovery log
-    /// was never drained.
+    /// A registry slot still holds a dead owner — its recovery log was
+    /// never drained.
     UndrainedRecoveryLog {
         /// The dead owner's token word.
         owner_word: usize,
@@ -91,7 +91,7 @@ pub enum AuditFinding {
         stripe: usize,
         /// The owner-token word holding it.
         owner_word: usize,
-        /// Whether the liveness registry knows this owner is dead.
+        /// Whether the owner's registry slot says it died unfinished.
         owner_dead: bool,
     },
     /// A striped slot is stuck in the `ExclusiveAnon` (barrier-owned)
@@ -317,7 +317,7 @@ impl Heap {
                     findings.push(AuditFinding::OrphanExclusive {
                         obj: r,
                         owner_word: owner.word(),
-                        owner_dead: self.liveness.is_dead(owner.word()),
+                        owner_dead: self.owner_dead(owner.word()),
                     });
                 }
                 RecState::ExclusiveAnon { version } => {
@@ -350,7 +350,7 @@ impl Heap {
                         findings.push(AuditFinding::StripeExclusive {
                             stripe: i,
                             owner_word: owner.word(),
-                            owner_dead: self.liveness.is_dead(owner.word()),
+                            owner_dead: self.owner_dead(owner.word()),
                         });
                     }
                     RecState::ExclusiveAnon { version } => {
@@ -424,17 +424,21 @@ impl Heap {
             if !slot.active.load(std::sync::atomic::Ordering::Acquire) {
                 continue;
             }
-            let owner_word = slot.owner.load(std::sync::atomic::Ordering::Acquire);
-            if owner_word == 0 || self.liveness.is_alive(owner_word) {
+            let (owner_word, live) = slot.holder();
+            if owner_word == 0 || live {
                 findings.push(AuditFinding::SlotStrandedActive { slot: i, owner_word });
             }
         }
-        for (owner_word, records, undo_entries) in self.liveness.dead_descriptors() {
-            findings.push(AuditFinding::UndrainedRecoveryLog {
-                owner_word,
-                records,
-                undo_entries,
-            });
+        // Recovery logs exist only while the watchdog mirrors them; without
+        // it a dead owner has nothing left to drain.
+        if self.config.watchdog.enabled {
+            for (owner_word, records, undo_entries) in crate::watchdog::dead_logs(self) {
+                findings.push(AuditFinding::UndrainedRecoveryLog {
+                    owner_word,
+                    records,
+                    undo_entries,
+                });
+            }
         }
         if self.config.dea {
             for i in 0..n {
@@ -571,22 +575,32 @@ mod tests {
     #[test]
     fn stranded_active_slot_is_found() {
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let idx = heap.claim_txn_slot(0);
-        let owner = heap.fresh_owner();
-        heap.liveness.register(owner);
-        heap.txn_slot(idx)
-            .owner
-            .store(owner.word(), std::sync::atomic::Ordering::Release);
+        let (idx, owner) = heap.claim_txn_slot(0, 0);
         let report = heap.audit();
         assert!(matches!(
             report.findings.as_slice(),
             [AuditFinding::SlotStrandedActive { owner_word, .. }] if *owner_word == owner.word()
         ));
         assert!(report.to_string().contains("txn-slot["));
-        // A slot stranded by a *crashed* owner (not registered alive) is an
-        // expected leftover, not a finding.
-        heap.liveness.deregister(owner);
+        // A slot stranded by a *retired* (reclaimed) owner is an expected
+        // leftover, not a finding.
+        heap.txn_slot(idx).retire(owner);
         heap.audit().assert_clean();
+    }
+
+    #[test]
+    fn dead_owner_with_a_recovery_log_is_found() {
+        let heap = Heap::new(StmConfig::default());
+        let (_, owner) = heap.claim_txn_slot(0, 0);
+        heap.owner_vanished(owner.word());
+        let report = heap.audit();
+        assert!(matches!(
+            report.findings.as_slice(),
+            [AuditFinding::UndrainedRecoveryLog { owner_word, records: 0, undo_entries: 0 }]
+                if *owner_word == owner.word()
+        ));
+        // Inspecting the log hands it back: the owner still reads dead.
+        assert!(heap.owner_dead(owner.word()));
     }
 
     #[test]

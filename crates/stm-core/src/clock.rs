@@ -57,16 +57,35 @@ thread_local! {
     static TL_LAST: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// A value alone on a 128-byte block: two 64-byte lines, because the
+/// adjacent-line prefetcher moves lines in pairs.
+#[repr(align(128))]
+#[derive(Debug)]
+struct OwnLine<T>(T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A heap's global version clock: the allocation cursor (`raw`) plus the
 /// multi-version visibility cursor (`visible`) that trails it.
+///
+/// Each cursor sits on a cache line of its own. Every committing writer
+/// RMWs `raw`; were it to share a line with the read-mostly heap fields
+/// (configuration, object store) that every open and barrier loads, each
+/// tick would invalidate that line in every other core's cache.
 #[derive(Debug)]
 pub struct VersionClock {
     /// The allocation cursor: the newest stamp handed out (Global mode) or
     /// the floor every new stamp must exceed (ThreadLocal mode).
-    raw: AtomicU64,
+    raw: OwnLine<AtomicU64>,
     /// The visibility cursor: the newest stamp whose commit effects are
     /// fully installed. Advanced in stamp order by [`VersionClock::publish`].
-    visible: AtomicU64,
+    visible: OwnLine<AtomicU64>,
     mode: ClockMode,
     id: u64,
 }
@@ -81,8 +100,8 @@ impl VersionClock {
     /// tag-bit-boundary wraparound start near the top of the version space).
     pub fn with_start(mode: ClockMode, start: u64) -> Self {
         VersionClock {
-            raw: AtomicU64::new(start),
-            visible: AtomicU64::new(start),
+            raw: OwnLine(AtomicU64::new(start)),
+            visible: OwnLine(AtomicU64::new(start)),
             mode,
             id: CLOCK_IDS.fetch_add(1, Ordering::Relaxed),
         }
@@ -153,6 +172,12 @@ impl VersionClock {
             }
         }
         retries
+    }
+
+    /// Address of the allocation cursor (layout checks).
+    #[cfg(test)]
+    pub(crate) fn counter_addr(&self) -> usize {
+        &*self.raw as *const AtomicU64 as usize
     }
 
     /// The visibility cursor: the newest stamp whose commit is fully

@@ -474,7 +474,7 @@ pub struct StmConfig {
     /// (the default) disables the machinery entirely.
     pub fault: Option<FaultPlan>,
     /// Stuck-owner watchdog: spin sites that exhaust the configured budget
-    /// consult the owner-liveness registry and reclaim records orphaned by
+    /// consult the holder's registry slot and reclaim records orphaned by
     /// dead owners (see [`crate::watchdog`]).
     pub watchdog: WatchdogConfig,
     /// Panic-safe atomic blocks: the runners catch unwinds escaping the user

@@ -17,7 +17,7 @@
 //! section (a panic with [`crate::config::StmConfig::panic_safety`]
 //! disabled). [`resolve`] therefore also hosts the stuck-owner watchdog:
 //! once a waiter exceeds [`crate::watchdog::WatchdogConfig::spin_budget`]
-//! rounds it consults the owner-liveness registry and reclaims records
+//! rounds it consults the holder's registry slot and reclaims records
 //! orphaned by dead owners, restoring the bound (see [`crate::watchdog`]).
 //!
 //! Three policies ship with the system:
@@ -39,7 +39,7 @@ use crate::cost::{backoff_wait, charge, CostKind};
 use crate::heap::Heap;
 use crate::stats::Stats;
 use crate::txnrec::{OwnerToken, RecWord};
-use crate::watchdog::ReclaimOutcome;
+use crate::watchdog::{try_reclaim, ReclaimOutcome};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -386,7 +386,7 @@ pub(crate) fn resolve_with(
             stats.watchdog_escalation();
         }
         match holder.filter(|h| h.is_txn_exclusive()) {
-            Some(h) => match heap.try_reclaim_orphan(h) {
+            Some(h) => match try_reclaim(heap, h) {
                 ReclaimOutcome::Reclaimed { .. } => return Ok(()),
                 ReclaimOutcome::OwnerAlive | ReclaimOutcome::Unknown => {
                     if site.can_abort() && !unyielding {

@@ -107,18 +107,11 @@ fn charge_hook(kind: CostKind) {
 }
 
 /// Cooperative wait: lets the simulator advance virtual time (or, natively,
-/// spin-loops with an OS yield after a few attempts).
+/// spin-loops with an OS yield after a few attempts). Like [`charge`], the
+/// unhooked path tests the flag and never borrows the hook's `RefCell`.
 #[inline]
 pub fn backoff_wait(attempt: u32) {
-    let hooked = HOOK.with(|h| {
-        if let Some(hook) = h.borrow().as_ref() {
-            hook.backoff_wait(attempt);
-            true
-        } else {
-            false
-        }
-    });
-    if !hooked {
+    if !(HOOKED.with(Cell::get) && backoff_hook(attempt)) {
         if attempt < 4 {
             std::hint::spin_loop();
         } else if attempt < 16 {
@@ -129,6 +122,18 @@ pub fn backoff_wait(attempt: u32) {
             std::thread::sleep(std::time::Duration::from_micros(us.min(256)));
         }
     }
+}
+
+/// Out of line, like [`charge_hook`]. Returns whether a hook took the wait.
+#[inline(never)]
+fn backoff_hook(attempt: u32) -> bool {
+    HOOK.with(|h| match h.borrow().as_ref() {
+        Some(hook) => {
+            hook.backoff_wait(attempt);
+            true
+        }
+        None => false,
+    })
 }
 
 /// Runs `f` with `hook` installed, restoring the previous hook afterwards

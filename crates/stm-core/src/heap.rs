@@ -17,13 +17,14 @@ use crate::contention::ContentionManager;
 use crate::fault::FaultInjector;
 use crate::mv::MvTable;
 use crate::segvec::SegVec;
-use crate::shardmap::ShardMap;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::syncpoint::{current_actor, Script, SyncPoint};
-use crate::txnrec::{OwnerToken, RecWord, RecordTable, TxnRecord};
-use crate::watchdog::{Liveness, OwnerDesc, ReclaimOutcome};
+use crate::txnrec::{
+    OwnerToken, RecWord, RecordTable, TxnRecord, OWNER_GEN_BITS, OWNER_SLOT_BITS,
+};
+use crate::watchdog::RecoveryLog;
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -177,16 +178,40 @@ impl Obj {
     }
 }
 
-/// A slot in the quiescence registry (paper §3.4): whether a transaction is
-/// running in it and the serial number at which it last reached a consistent
-/// state (begin, validate, commit, or abort).
+/// A slot in the transaction registry. Every top-level attempt claims one —
+/// normally this thread's parked slot — and the slot is the attempt's
+/// descriptor for as long as it runs:
+///
+/// * its identity: the owner token is the slot index plus the slot's
+///   generation ([`OwnerToken::for_slot`]), so naming an attempt, asking
+///   whether it is alive and finding its recovery log are an index and a
+///   generation compare;
+/// * its liveness, in the tag bits of the `owner` word;
+/// * its Karma birth ticket (age-based contention policies only);
+/// * the watchdog's mirrored recovery log;
+/// * the quiescence state (paper §3.4): whether the attempt is running and
+///   the serial number at which it last reached a consistent state (begin,
+///   validate, commit, or abort), and the multiversion snapshot stamp.
+///
+/// Only the claiming thread writes a live slot, with plain stores; other
+/// threads read it, and a reclaimer takes over a dead one by CAS. The slot
+/// fills a 128-byte block of its own, so one thread's begin and commit never
+/// write a line another thread's attempt uses.
+#[repr(align(128))]
 #[derive(Debug)]
 pub(crate) struct TxnSlot {
     pub(crate) active: AtomicBool,
     pub(crate) vserial: AtomicU64,
-    /// Owner-token word of the attempt using this slot (0 = unset). Lets
-    /// quiescence waiters skip slots whose owner died without deactivating.
-    pub(crate) owner: AtomicUsize,
+    /// Owner-token word of the slot's current (or last) attempt, with its
+    /// liveness in the three tag bits, which a token word keeps zero:
+    /// exactly the token while the attempt runs (`LIVE`); `| DEAD` once it
+    /// unwound without finishing; `| RECLAIMING` while a watchdog reclaimer
+    /// drains its log; `| RETIRED` after it finished or was reclaimed. 0 =
+    /// never claimed. The next claim derives the next generation from it.
+    owner: AtomicUsize,
+    /// Karma birth ticket of the running attempt; meaningful only while
+    /// `owner` names it and the heap's policy needs ages.
+    age: AtomicU64,
     /// Multiversion read stamp (`rv + 1`; 0 = not a snapshot reader).
     /// Published by read-only transactions under [`StmConfig::multiversion`]
     /// so committing writers can compute the oldest snapshot still in use
@@ -196,6 +221,163 @@ pub(crate) struct TxnSlot {
     /// Owned by the registry's Treiber stack; meaningful only while the
     /// slot is on it.
     next_free: AtomicU64,
+    /// The watchdog's mirror of the running attempt's acquisitions and undo
+    /// entries. Written only by the slot's live holder, read only by the
+    /// reclaimer that moved a dead holder to `RECLAIMING`.
+    log: UnsafeCell<RecoveryLog>,
+}
+
+// SAFETY: every field but `log` is atomic. `log` has one accessor at a time:
+// the thread whose attempt is live in the slot (the only thread that can
+// have claimed it), or — once that attempt is marked dead, which the holder
+// does itself as it unwinds — the single reclaimer whose CAS moved `owner`
+// from `DEAD` to `RECLAIMING`. The holder's `DEAD` store is a release and
+// the reclaimer's CAS an acquire, so the reclaimer sees every entry.
+unsafe impl Sync for TxnSlot {}
+
+/// Liveness tags in the low bits of a slot's `owner` word.
+const LIVE: usize = 0;
+const DEAD: usize = 0b001;
+const RECLAIMING: usize = 0b010;
+const RETIRED: usize = 0b100;
+const LIVENESS_MASK: usize = 0b111;
+
+impl TxnSlot {
+    fn new() -> Self {
+        TxnSlot {
+            active: AtomicBool::new(false),
+            vserial: AtomicU64::new(0),
+            owner: AtomicUsize::new(0),
+            age: AtomicU64::new(0),
+            rv: AtomicU64::new(0),
+            next_free: AtomicU64::new(0),
+            log: UnsafeCell::new(RecoveryLog::default()),
+        }
+    }
+
+    /// Starts the next generation of this (inactive, exclusively claimed)
+    /// slot at index `idx`: registers a fresh owner token alive, with the
+    /// attempt's birth ticket when the policy uses one, and activates the
+    /// slot at `serial`. Plain stores only; `owner` is written before
+    /// `active`, so a quiescence waiter that sees the slot active also sees
+    /// its live owner, and `active` is stored last.
+    fn activate(&self, idx: usize, serial: u64, age: Option<u64>) -> OwnerToken {
+        let last = self.owner.load(Ordering::Relaxed);
+        let generation = match (last >> 3) >> OWNER_SLOT_BITS {
+            g if g + 1 >= 1 << OWNER_GEN_BITS => 1,
+            g => g + 1,
+        };
+        let token = OwnerToken::for_slot(idx, generation);
+        // SAFETY: the slot is inactive and claimed by this thread, so no
+        // attempt is live in it and no reclaimer holds it.
+        unsafe { self.with_log(RecoveryLog::clear) };
+        if let Some(age) = age {
+            self.age.store(age, Ordering::Release);
+        }
+        self.rv.store(0, Ordering::Release);
+        self.vserial.store(serial, Ordering::Release);
+        self.owner.store(token.word(), Ordering::Release);
+        self.active.store(true, Ordering::Release);
+        token
+    }
+
+    /// Runs `f` on the recovery log.
+    ///
+    /// # Safety
+    /// The caller is the slot's only accessor of the log: the thread whose
+    /// attempt is live in it (or that is activating it), or the reclaimer
+    /// that moved its dead owner to `RECLAIMING`.
+    pub(crate) unsafe fn with_log<R>(&self, f: impl FnOnce(&mut RecoveryLog) -> R) -> R {
+        f(&mut *self.log.get())
+    }
+
+    /// The slot's owner-token word (liveness tag stripped; 0 if never
+    /// claimed) and whether that owner is registered alive.
+    #[inline]
+    pub(crate) fn holder(&self) -> (usize, bool) {
+        let w = self.owner.load(Ordering::Acquire);
+        (w & !LIVENESS_MASK, w != 0 && w & LIVENESS_MASK == LIVE)
+    }
+
+    /// Where `word`'s attempt stands in this slot.
+    #[inline]
+    pub(crate) fn holder_state(&self, word: usize) -> HolderState {
+        let w = self.owner.load(Ordering::Acquire);
+        if w & !LIVENESS_MASK != word {
+            return HolderState::Gone;
+        }
+        match w & LIVENESS_MASK {
+            LIVE => HolderState::Alive,
+            DEAD => HolderState::Dead,
+            RECLAIMING => HolderState::Draining,
+            _ => HolderState::Gone,
+        }
+    }
+
+    /// Retires the finished attempt `owner`: its token never names a live
+    /// attempt again. Called by the holder before the slot is deactivated.
+    #[inline]
+    pub(crate) fn retire(&self, owner: OwnerToken) {
+        debug_assert_eq!(self.holder_state(owner.word()), HolderState::Alive);
+        self.owner.store(owner.word() | RETIRED, Ordering::Release);
+    }
+
+    /// Marks `word` dead if it is this slot's live attempt; a no-op for an
+    /// attempt that already finished (the slot retired it or moved on to a
+    /// later generation). Only the attempt's own thread calls this, so the
+    /// load-compare-store cannot race another transition out of `LIVE`.
+    fn mark_dead(&self, word: usize) {
+        if self.holder_state(word) == HolderState::Alive {
+            self.owner.store(word | DEAD, Ordering::Release);
+        }
+    }
+
+    /// The birth ticket of `word`'s attempt while it is registered here
+    /// (alive, or dead and not yet reclaimed). The second look at `owner`
+    /// rejects a ticket that a later generation stored meanwhile: the next
+    /// claim retires `word` before it writes a new ticket.
+    fn age_of(&self, word: usize) -> Option<u64> {
+        if self.holder_state(word) == HolderState::Gone {
+            return None;
+        }
+        let age = self.age.load(Ordering::Acquire);
+        (self.holder_state(word) != HolderState::Gone).then_some(age)
+    }
+
+    /// Moves `word`'s attempt from dead to being reclaimed. The caller that
+    /// wins owns the recovery log until it calls [`TxnSlot::end_reclaim`].
+    pub(crate) fn begin_reclaim(&self, word: usize) -> Result<(), usize> {
+        self.owner
+            .compare_exchange(word | DEAD, word | RECLAIMING, Ordering::AcqRel, Ordering::Acquire)
+            .map(|_| ())
+    }
+
+    /// Ends a reclaim begun with [`TxnSlot::begin_reclaim`]: `retire` drops
+    /// the dead attempt's identity for good and frees the slot for its
+    /// thread's next attempt; otherwise the owner reads as dead again (an
+    /// inspection that changed nothing).
+    pub(crate) fn end_reclaim(&self, word: usize, retire: bool) {
+        if retire {
+            self.owner.store(word | RETIRED, Ordering::Release);
+            self.active.store(false, Ordering::Release);
+        } else {
+            self.owner.store(word | DEAD, Ordering::Release);
+        }
+    }
+
+}
+
+/// An owner's standing in its registry slot ([`TxnSlot::holder_state`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum HolderState {
+    /// Registered and running.
+    Alive,
+    /// Unwound without finishing; its records await reclamation.
+    Dead,
+    /// Dead, and a reclaimer is draining its recovery log.
+    Draining,
+    /// Finished or reclaimed (the slot retired the token or moved on).
+    Gone,
 }
 
 const FREE_IDX_MASK: u64 = 0xffff_ffff;
@@ -208,10 +390,12 @@ const FREE_IDX_MASK: u64 = 0xffff_ffff;
 ///
 /// Slots parked in a thread's [`SlotCache`] are *not* on the free list;
 /// only their owning thread ever activates them, which is what makes the
-/// cached claim two plain stores instead of a CAS.
+/// cached claim plain stores instead of a CAS.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
-    slots: SegVec<TxnSlot>,
+    /// First segment of four slots: the registry holds about one slot per
+    /// thread, so it starts small and doubles.
+    slots: SegVec<TxnSlot, 2>,
     free_head: AtomicU64,
 }
 
@@ -221,6 +405,14 @@ impl Registry {
     #[inline]
     pub(crate) fn slot(&self, idx: usize) -> &TxnSlot {
         self.slots.get(idx).expect("slot index was issued by this registry")
+    }
+
+    /// The slot an owner-token word names, if the registry has one there.
+    /// Words decoded from shared memory may name any index; this never
+    /// panics.
+    #[inline]
+    pub(crate) fn owner_slot(&self, word: usize) -> Option<&TxnSlot> {
+        self.slots.get(OwnerToken::from_word(word).slot())
     }
 
     /// Number of slots ever created — bounded by peak transaction
@@ -235,28 +427,17 @@ impl Registry {
         self.slots.iter().enumerate()
     }
 
-    /// Pops a free slot or appends a fresh one, activating it at `serial`.
-    /// A popped slot is exclusively ours until `active` is published, so
-    /// plain stores suffice; `active` is stored last so a quiescence waiter
-    /// that observes it also observes the cleared owner and new serial.
-    fn acquire(&self, serial: u64) -> usize {
-        match self.pop_free() {
-            Some(idx) => {
-                let slot = self.slot(idx);
-                slot.owner.store(0, Ordering::Release);
-                slot.rv.store(0, Ordering::Release);
-                slot.vserial.store(serial, Ordering::Release);
-                slot.active.store(true, Ordering::Release);
-                idx
-            }
-            None => self.slots.push(TxnSlot {
-                active: AtomicBool::new(true),
-                vserial: AtomicU64::new(serial),
-                owner: AtomicUsize::new(0),
-                rv: AtomicU64::new(0),
-                next_free: AtomicU64::new(0),
-            }),
-        }
+    /// Pops a free slot or appends a fresh one. Either way the slot is
+    /// inactive and exclusively the caller's until it activates it.
+    fn acquire(&self) -> usize {
+        self.pop_free().unwrap_or_else(|| {
+            let idx = self.slots.push(TxnSlot::new());
+            assert!(
+                idx < 1 << OWNER_SLOT_BITS,
+                "transaction registry outgrew the owner-token slot field"
+            );
+            idx
+        })
     }
 
     fn push_free(&self, idx: usize) {
@@ -470,18 +651,17 @@ pub struct Heap {
     script: RwLock<Option<Arc<Script>>>,
     /// Global serialization counter for quiescence (paper §3.4).
     pub(crate) serial: AtomicU64,
+    /// The transaction registry: one slot per running attempt, holding its
+    /// owner identity, liveness, age and recovery log.
     pub(crate) registry: Registry,
-    desc_counter: AtomicUsize,
     races: Mutex<Vec<RaceEvent>>,
     /// The contention manager built from [`StmConfig::contention`].
     cm: Arc<dyn ContentionManager>,
+    /// `cm.needs_age()`, read once: whether blocks draw birth tickets and
+    /// attempts store them in their registry slots.
+    needs_age: bool,
     /// Birth-ticket source for age-based contention policies.
     age_counter: AtomicU64,
-    /// Owner-token word → birth ticket of the atomic block currently using
-    /// that token. Maintained only when the policy reports `needs_age()`.
-    /// Sharded so age-based policies don't serialize every attempt in the
-    /// process on one lock.
-    ages: ShardMap<u64>,
     /// The global version clock (TL2 protocol; see [`crate::clock`]). One
     /// source of time for everything: optimistic reads validate against a
     /// begin-time sample of it (`version <= rv`), committing writers release
@@ -497,8 +677,6 @@ pub struct Heap {
     pub(crate) mv: Option<MvTable>,
     /// Armed fault injector (from [`StmConfig::fault`]).
     fault: Option<FaultInjector>,
-    /// Owner-liveness registry for the stuck-owner watchdog.
-    pub(crate) liveness: Liveness,
     /// Overload admission monitor (from [`StmConfig::admission`]).
     admission: Option<AdmissionMonitor>,
     /// The global serialization token for escalated ("inevitable-lite")
@@ -527,6 +705,7 @@ impl Heap {
         }
         let config_clock = config.clock;
         let cm = config.contention.build();
+        let needs_age = cm.needs_age();
         let fault = config.fault.map(FaultInjector::new);
         let table = RecordTable::new(config.granularity);
         let mv = config.multiversion.then(MvTable::default);
@@ -544,52 +723,48 @@ impl Heap {
             script: RwLock::new(None),
             serial: AtomicU64::new(1),
             registry: Registry::default(),
-            desc_counter: AtomicUsize::new(1),
             races: Mutex::new(Vec::new()),
             cm,
+            needs_age,
             age_counter: AtomicU64::new(BOOST_BASE),
-            ages: ShardMap::default(),
             clock: VersionClock::new(config_clock),
             mv,
             fault,
-            liveness: Liveness::default(),
             admission,
             serial_token: AtomicBool::new(false),
             audit_versions: VersionHighWater::default(),
         })
     }
 
-    /// Claims a quiescence slot for a transaction beginning at `serial`.
+    /// Claims a registry slot for an attempt beginning at `serial` and
+    /// registers the attempt in it: returns the slot index and the
+    /// attempt's owner token (the slot index plus the slot's next
+    /// generation). `age` is stored only when the contention policy uses
+    /// birth tickets.
     ///
     /// Fast path: this thread's parked slot. A parked slot is never on the
     /// free list, so only this thread can activate it — no CAS is needed,
-    /// just plain stores with `active` published last (a quiescence waiter
-    /// that sees `active` therefore also sees the cleared owner word and the
-    /// fresh serial, never a dead prior owner's).
+    /// just plain stores to a line no other attempt writes.
     ///
     /// If the parked slot is already active, an enclosing transaction on
-    /// this thread (open nesting) is using it: fall through to the shared
+    /// this thread (open nesting) is using it, or an attempt of this thread
+    /// died in it and awaits reclamation: fall through to the shared
     /// acquire path without touching the cache. If the cache points at a
     /// *different* heap, evict its slot back to that heap and re-park here.
-    pub(crate) fn claim_txn_slot(&self, serial: u64) -> usize {
-        SLOT_CACHE
+    pub(crate) fn claim_txn_slot(&self, serial: u64, age: u64) -> (usize, OwnerToken) {
+        let idx = SLOT_CACHE
             .try_with(|cell| {
                 let mut cell = cell.borrow_mut();
                 if let Some(c) = cell.0.as_ref() {
                     if c.heap_id == self.heap_id {
-                        let slot = self.registry.slot(c.idx);
-                        if slot.active.load(Ordering::Acquire) {
-                            return self.registry.acquire(serial);
+                        if self.registry.slot(c.idx).active.load(Ordering::Acquire) {
+                            return self.registry.acquire();
                         }
-                        slot.owner.store(0, Ordering::Release);
-                        slot.rv.store(0, Ordering::Release);
-                        slot.vserial.store(serial, Ordering::Release);
-                        slot.active.store(true, Ordering::Release);
                         return c.idx;
                     }
                 }
                 cell.evict();
-                let idx = self.registry.acquire(serial);
+                let idx = self.registry.acquire();
                 cell.0 = Some(SlotCache {
                     heap_id: self.heap_id,
                     idx,
@@ -599,7 +774,9 @@ impl Heap {
             })
             // TLS already torn down (transaction inside a thread-local
             // destructor): no cache to consult, use the shared path.
-            .unwrap_or_else(|_| self.registry.acquire(serial))
+            .unwrap_or_else(|_| self.registry.acquire());
+        let owner = self.registry.slot(idx).activate(idx, serial, self.needs_age.then_some(age));
+        (idx, owner)
     }
 
     /// Returns a (deactivated) slot after the transaction finished: parked
@@ -636,12 +813,23 @@ impl Heap {
         self.registry.len()
     }
 
-    /// Whether `owner_word` is currently registered alive in the watchdog's
-    /// liveness map. Quiescence waits only on slots whose owner is known
-    /// live; a reclaimed or vanished owner never deactivates its slot, and
-    /// waiting on it would hang forever.
-    pub(crate) fn owner_known_live(&self, owner_word: usize) -> bool {
-        self.liveness.is_alive(owner_word)
+    /// Where the attempt named by `owner_word` stands in its registry slot.
+    fn holder_state(&self, owner_word: usize) -> HolderState {
+        self.registry
+            .owner_slot(owner_word)
+            .map_or(HolderState::Gone, |s| s.holder_state(owner_word))
+    }
+
+    /// Whether the attempt named by `owner_word` is registered alive.
+    #[cfg(test)]
+    pub(crate) fn owner_alive(&self, owner_word: usize) -> bool {
+        self.holder_state(owner_word) == HolderState::Alive
+    }
+
+    /// Whether the attempt named by `owner_word` died unfinished and has not
+    /// been reclaimed yet.
+    pub(crate) fn owner_dead(&self, owner_word: usize) -> bool {
+        matches!(self.holder_state(owner_word), HolderState::Dead | HolderState::Draining)
     }
 
     /// The armed fault injector, if [`StmConfig::fault`] set one.
@@ -650,32 +838,13 @@ impl Heap {
         self.fault.as_ref()
     }
 
-    /// Registers `owner` in the liveness registry, returning its descriptor.
-    /// `None` when the watchdog is disabled (no registry is maintained).
-    pub(crate) fn liveness_register(&self, owner: OwnerToken) -> Option<Arc<OwnerDesc>> {
-        if self.config.watchdog.enabled {
-            Some(self.liveness.register(owner))
-        } else {
-            None
-        }
-    }
-
-    /// Removes `owner` from the liveness registry after a clean finish.
-    pub(crate) fn liveness_deregister(&self, owner: OwnerToken) {
-        self.liveness.deregister(owner);
-    }
-
-    /// Marks the owner encoded by `owner_word` dead. Called by the runner's
+    /// Marks the attempt named by `owner_word` dead. Called by the runner's
     /// token guard when an attempt unwinds without committing or aborting;
-    /// a no-op for owners that already deregistered.
+    /// a no-op for an attempt that already finished.
     pub(crate) fn owner_vanished(&self, owner_word: usize) {
-        self.liveness.mark_dead(owner_word);
-    }
-
-    /// Attempts to reclaim the records of the (apparently stuck) exclusive
-    /// owner in `holder` — see [`crate::watchdog::Liveness::try_reclaim`].
-    pub(crate) fn try_reclaim_orphan(&self, holder: RecWord) -> ReclaimOutcome {
-        self.liveness.try_reclaim(self, holder)
+        if let Some(slot) = self.registry.owner_slot(owner_word) {
+            slot.mark_dead(owner_word);
+        }
     }
 
     /// This heap's configuration.
@@ -742,30 +911,24 @@ impl Heap {
     /// older). Used by age-based contention policies. Tickets start at
     /// [`BOOST_BASE`] so a Karma priority boost (subtracting the base) maps
     /// starving blocks into a reserved below-normal band, still unique and
-    /// ordered among themselves.
+    /// ordered among themselves. Under a policy that ignores ages no ticket
+    /// is drawn — the shared counter is left alone — and every block gets
+    /// [`BOOST_BASE`].
     pub(crate) fn issue_age(&self) -> u64 {
-        self.age_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Associates `token` with the atomic block's birth ticket for the
-    /// duration of one attempt. No-op unless the policy needs ages.
-    pub(crate) fn register_age(&self, token: OwnerToken, age: u64) {
-        if self.cm.needs_age() {
-            self.ages.insert(token.word(), age);
+        if self.needs_age {
+            self.age_counter.fetch_add(1, Ordering::Relaxed)
+        } else {
+            BOOST_BASE
         }
     }
 
-    /// Drops the age registration of `token` (attempt finished).
-    pub(crate) fn retire_age(&self, token: OwnerToken) {
-        if self.cm.needs_age() {
-            self.ages.remove(token.word());
-        }
-    }
-
-    /// Birth ticket of the transaction whose owner token encodes to `word`,
-    /// if registered.
+    /// Birth ticket of the attempt whose owner token encodes to `word`,
+    /// while it is registered in its slot (and the policy uses ages).
     pub(crate) fn age_of_word(&self, word: usize) -> Option<u64> {
-        self.ages.with(word, |age| *age)
+        if !self.needs_age {
+            return None;
+        }
+        self.registry.owner_slot(word)?.age_of(word)
     }
 
     /// Registers a shape; names must be unique.
@@ -1121,9 +1284,13 @@ impl Heap {
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
     }
 
-    /// Issues a process-unique transaction owner token.
+    /// A process-unique owner token that names no attempt: its slot index is
+    /// the top of the slot field, which no registry reaches. For tests that
+    /// plant an owner in a record by hand.
+    #[cfg(test)]
     pub(crate) fn fresh_owner(&self) -> OwnerToken {
-        OwnerToken::from_id(self.desc_counter.fetch_add(1, Ordering::Relaxed))
+        static NEXT: AtomicUsize = AtomicUsize::new(1);
+        OwnerToken::for_slot((1 << OWNER_SLOT_BITS) - 1, NEXT.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Installs an interleaving script for litmus tests.
@@ -1281,15 +1448,15 @@ mod tests {
     #[test]
     fn registry_reuses_slots() {
         let heap = Heap::new(StmConfig::default());
-        let i1 = heap.claim_txn_slot(1);
+        let i1 = heap.claim_txn_slot(1, 0).0;
         heap.txn_slot(i1).active.store(false, Ordering::Release);
         heap.retire_txn_slot(i1);
         // The retired slot is parked on this thread and claimed again.
-        let i2 = heap.claim_txn_slot(2);
+        let i2 = heap.claim_txn_slot(2, 0).0;
         assert_eq!(i1, i2, "parked slot is reused by the same thread");
         // A second concurrent claim (the parked slot is busy) gets a
         // distinct slot.
-        let i3 = heap.claim_txn_slot(3);
+        let i3 = heap.claim_txn_slot(3, 0).0;
         assert_ne!(i2, i3);
         assert_eq!(heap.txn_slot_count(), 2);
         // Retiring the non-parked slot free-lists it; the table never grows
@@ -1298,8 +1465,8 @@ mod tests {
         heap.retire_txn_slot(i3);
         heap.txn_slot(i2).active.store(false, Ordering::Release);
         heap.retire_txn_slot(i2);
-        let a = heap.claim_txn_slot(4);
-        let b = heap.claim_txn_slot(5);
+        let a = heap.claim_txn_slot(4, 0).0;
+        let b = heap.claim_txn_slot(5, 0).0;
         assert_ne!(a, b);
         assert_eq!(heap.txn_slot_count(), 2);
     }
@@ -1308,17 +1475,50 @@ mod tests {
     fn slot_cache_moves_between_heaps() {
         let h1 = Heap::new(StmConfig::default());
         let h2 = Heap::new(StmConfig::default());
-        let i1 = h1.claim_txn_slot(1);
+        let i1 = h1.claim_txn_slot(1, 0).0;
         h1.txn_slot(i1).active.store(false, Ordering::Release);
         h1.retire_txn_slot(i1);
         // Claiming on another heap evicts the parked slot back to h1's free
         // list; a later claim on h1 still reuses it (via the free list).
-        let j = h2.claim_txn_slot(1);
+        let j = h2.claim_txn_slot(1, 0).0;
         h2.txn_slot(j).active.store(false, Ordering::Release);
         h2.retire_txn_slot(j);
-        let i2 = h1.claim_txn_slot(2);
+        let i2 = h1.claim_txn_slot(2, 0).0;
         assert_eq!(i1, i2, "evicted slot was free-listed, not leaked");
         assert_eq!(h1.txn_slot_count(), 1);
+    }
+
+    #[test]
+    fn clock_counter_has_a_line_of_its_own() {
+        // Every committing writer RMWs the clock counter; every open and
+        // barrier reads `config` and `store`. The 128-byte block (an
+        // adjacent-line prefetch pair) holding the counter must hold
+        // neither.
+        let heap = Heap::new(StmConfig::default());
+        let clock = heap.clock.counter_addr();
+        assert_eq!(clock % 128, 0, "clock counter is not 128-byte aligned");
+        let block = |addr: usize| addr / 128;
+        let fields = [
+            ("config", &heap.config as *const StmConfig as usize, std::mem::size_of::<StmConfig>()),
+            ("store", &heap.store as *const SegVec<Obj> as usize, std::mem::size_of::<SegVec<Obj>>()),
+        ];
+        for (name, start, len) in fields {
+            assert!(
+                block(clock) < block(start) || block(clock) > block(start + len - 1),
+                "clock counter at {clock:#x} shares a 128-byte block with `{name}` \
+                 ({start:#x}, {len} bytes)"
+            );
+        }
+    }
+
+    #[test]
+    fn registry_slots_do_not_share_lines() {
+        let heap = Heap::new(StmConfig::default());
+        let (a, _) = heap.claim_txn_slot(0, 0);
+        let (b, _) = heap.claim_txn_slot(0, 0);
+        let addr = |i| heap.txn_slot(i) as *const TxnSlot as usize;
+        assert_eq!(addr(a) % 128, 0);
+        assert!(addr(a).abs_diff(addr(b)) >= 128);
     }
 
     #[test]

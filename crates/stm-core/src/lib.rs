@@ -80,7 +80,6 @@ pub mod mv;
 mod pipeline;
 pub mod quiesce;
 pub mod segvec;
-mod shardmap;
 pub mod stats;
 pub mod syncpoint;
 pub mod txn;

@@ -13,37 +13,50 @@
 //! [`Heap::guard_load`], so it is agnostic to the conflict-detection
 //! granularity ([`crate::config::Granularity`]): records may be embedded
 //! per object or live in the striped ownership-record table. The ownership
-//! map is keyed by [`Heap::slot_of`], which means a stripe shared by
-//! several written objects is acquired once, released once, and mirrored
-//! into the watchdog descriptor once.
+//! list holds one entry per guard slot ([`Heap::slot_of`]), in acquisition
+//! order, which means a stripe shared by several written objects is
+//! acquired once, released once, and mirrored into the recovery log once,
+//! and that release and restore run in an order the program fixes.
+//!
+//! ## The attempt's descriptor is its registry slot
+//!
+//! Every top-level attempt claims a slot in the heap's transaction registry
+//! — normally the one this thread parked there, with a few plain stores —
+//! and that slot is the attempt's descriptor. The owner token written into
+//! `Exclusive` records is the slot index plus the slot's generation, so
+//! issuing it needs no shared counter; the slot also holds the attempt's
+//! liveness, its Karma birth ticket (age-based policies only) and the
+//! watchdog's recovery log. Whether an owner is alive, dead or gone, and
+//! what its age is, are an index and a generation compare. An open-nested
+//! attempt finds the parked slot busy and takes a second slot from the free
+//! list, with a token of its own.
 //!
 //! ## Allocation-free steady state
 //!
-//! Every growable container an attempt uses — read set, ownership map,
+//! Every growable container an attempt uses — read set, ownership list,
 //! span log (the eager undo log / lazy write buffer), handler vecs, DEA
 //! compensation sets, commit ordering scratch — lives in a pooled
 //! [`Scratch`]: popped from a thread-local stack at begin, cleared and
-//! pushed back at finish with its capacity intact. Together with the
-//! heap's parked quiescence slots and pooled watchdog descriptors, a
-//! steady-state transaction touches no global mutex and performs no heap
-//! allocation.
+//! pushed back at finish with its capacity intact. The recovery log keeps
+//! its capacity in the parked slot. A steady-state transaction therefore
+//! performs no heap allocation, and outside the TL2 clock tick and the
+//! records it reads and writes, its begin and commit write only this
+//! thread's cache lines: no lock, no hash, no reference count.
 
 use crate::config::{ClockMode, IsolationLevel};
 use crate::contention::{resolve_with, ConflictSite};
 use crate::cost::{backoff_wait, charge, CostKind};
 use crate::fault::{self, FaultSite};
-use crate::heap::{Heap, ObjRef, Word};
+use crate::heap::{Heap, ObjRef, TxnSlot, Word};
 use crate::quiesce;
 use crate::stats::TxnTelemetry;
 use crate::syncpoint::SyncPoint;
 use crate::txn::{token_is_active, Abort, TxResult, TxnKind};
 use crate::txnrec::{OwnerToken, RecWord};
-use crate::watchdog::OwnerDesc;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Maximum number of fields a single versioning span covers (the `Pair`
 /// granularity of [`crate::config::VersionGranularity`]).
@@ -106,7 +119,7 @@ const PUBLISH_ACQUIRE_SPINS: u32 = 64;
 #[derive(Default)]
 struct Scratch {
     read_set: Vec<(ObjRef, RecWord)>,
-    owned: HashMap<usize, (ObjRef, RecWord)>,
+    owned: Vec<Owned>,
     on_abort: Vec<Box<dyn FnOnce()>>,
     on_commit: Vec<Box<dyn FnOnce()>>,
     spans: Vec<SpanEntry>,
@@ -167,23 +180,40 @@ pub(crate) struct AttemptPolicy {
     pub(crate) isolation: Option<IsolationLevel>,
 }
 
+/// One guard slot this attempt owns exclusively.
+#[derive(Copy, Clone, Debug)]
+struct Owned {
+    /// The guard's slot key ([`Heap::slot_of`]).
+    key: usize,
+    /// The object through which the guard was acquired.
+    obj: ObjRef,
+    /// The shared word displaced at acquisition, restored (or bumped) on
+    /// release.
+    prior: RecWord,
+}
+
 /// The engine-independent half of a transaction attempt.
 pub(crate) struct TxnCore<'h> {
     pub(crate) heap: &'h Heap,
     pub(crate) owner: OwnerToken,
     read_set: Vec<(ObjRef, RecWord)>,
-    /// Guard slots we own exclusively: slot key → (representative object,
-    /// shared word to restore-and-bump on release).
-    owned: HashMap<usize, (ObjRef, RecWord)>,
+    /// Guard slots we own exclusively, in acquisition order — so release
+    /// and restore visit them in an order fixed by the program, not by a
+    /// hasher's seed.
+    owned: Vec<Owned>,
     on_abort: Vec<Box<dyn FnOnce() + 'h>>,
     on_commit: Vec<Box<dyn FnOnce() + 'h>>,
-    /// Index of this attempt's quiescence slot in the heap's registry.
-    slot: Option<usize>,
+    /// This attempt's registry slot — its descriptor: identity, liveness,
+    /// birth ticket, recovery log, quiescence state.
+    slot: &'h TxnSlot,
+    /// Index of `slot` in the heap's registry; `None` once the attempt
+    /// finished and handed the slot back.
+    slot_idx: Option<usize>,
     pub(crate) telem: TxnTelemetry,
-    /// Heap-side owner descriptor (watchdog enabled only): acquisitions and
-    /// undo entries are mirrored here *before* any in-place store, so a
+    /// Whether acquisitions and undo entries are mirrored into the slot's
+    /// recovery log (watchdog enabled), *before* any in-place store, so a
     /// reclaimer can roll this transaction back if its thread dies.
-    desc: Option<Arc<OwnerDesc>>,
+    mirror: bool,
     /// The engine's span log: the eager undo log or the lazy write buffer.
     pub(crate) spans: Vec<SpanEntry>,
     /// Read-your-own-writes index over `spans` (lazy engine).
@@ -238,12 +268,11 @@ pub(crate) struct TxnCore<'h> {
 }
 
 impl<'h> TxnCore<'h> {
-    /// Begins an attempt: owner token, age registration, liveness
-    /// descriptor, quiescence slot, pooled scratch.
+    /// Begins an attempt: claims this thread's registry slot, which issues
+    /// the owner token and registers the attempt alive (with its birth
+    /// ticket), then pops the pooled scratch.
     pub(crate) fn begin(heap: &'h Heap, age: u64, kind: TxnKind, policy: AttemptPolicy) -> Self {
         charge(CostKind::TxnBegin);
-        let owner = heap.fresh_owner();
-        heap.register_age(owner, age);
         let iso = policy.isolation.unwrap_or(heap.config.isolation);
         let ro_active = kind == TxnKind::ReadOnly && heap.mv_enabled();
         // Every attempt samples its read version at begin. A wait-free
@@ -255,25 +284,19 @@ impl<'h> TxnCore<'h> {
         // against it and snapshot isolation's first-committer-wins check
         // measures from it.
         let rv = if ro_active { heap.clock_visible() } else { heap.clock_now() };
-        // Liveness is registered BEFORE the owner word is published in the
-        // quiescence slot: a committer treats a slot owner that is not
-        // registered alive as crashed and skips the slot, so registration
-        // must be visible first or a live transaction could be skipped.
-        let desc = heap.liveness_register(owner);
-        // A wait-free reader claims a slot even without quiescence: the
-        // slot's `rv` advertises its snapshot so committing writers compute
-        // the eviction horizon and don't starve it out of the version rings
-        // (best-effort — a missed advertisement only costs a fallback).
-        let slot = if heap.config.quiescence || ro_active {
-            let idx = heap.claim_txn_slot(heap.serial.load(Ordering::Acquire));
-            heap.txn_slot(idx).owner.store(owner.word(), Ordering::Release);
-            if ro_active {
-                heap.txn_slot(idx).rv.store(rv + 1, Ordering::Release);
-            }
-            Some(idx)
-        } else {
-            None
-        };
+        // The slot registers the owner alive before it is marked active: a
+        // quiescence committer treats an active slot whose owner is not
+        // alive as crashed and skips it, so a live attempt is never skipped.
+        let serial = if heap.config.quiescence { heap.serial.load(Ordering::Acquire) } else { 0 };
+        let (idx, owner) = heap.claim_txn_slot(serial, age);
+        let slot = heap.txn_slot(idx);
+        // A wait-free reader's slot advertises its snapshot so committing
+        // writers compute the eviction horizon and don't starve it out of
+        // the version rings (best-effort — a missed advertisement only
+        // costs a fallback).
+        if ro_active {
+            slot.rv.store(rv + 1, Ordering::Release);
+        }
         let scratch = SCRATCH_POOL
             .try_with(|p| p.borrow_mut().pop())
             .ok()
@@ -287,8 +310,9 @@ impl<'h> TxnCore<'h> {
             on_abort: scratch.on_abort,
             on_commit: scratch.on_commit,
             slot,
+            slot_idx: Some(idx),
             telem: TxnTelemetry { attempts: 1, ..TxnTelemetry::default() },
-            desc,
+            mirror: heap.config.watchdog.enabled,
             spans: scratch.spans,
             span_index: scratch.span_index,
             private_reads: scratch.private_reads,
@@ -309,10 +333,10 @@ impl<'h> TxnCore<'h> {
         self.owner.word()
     }
 
-    /// Index of this attempt's quiescence slot, if quiescence is on. Tests
+    /// Index of this attempt's registry slot (`None` once finished). Tests
     /// assert slot exclusivity and reuse through this.
     pub(crate) fn slot_index(&self) -> Option<usize> {
-        self.slot
+        self.slot_idx
     }
 
     /// Consults the heap's contention manager about a conflict at `site`;
@@ -615,29 +639,40 @@ impl<'h> TxnCore<'h> {
         }
     }
 
-    /// Records a fresh acquisition in the ownership map and mirrors it into
-    /// the watchdog descriptor. Keyed by guard slot, so each slot is noted
-    /// exactly once however many objects it guards.
+    /// Records a fresh acquisition in the ownership list and mirrors it
+    /// into the slot's recovery log. Called once per guard slot (a held
+    /// guard short-circuits before the CAS), however many objects it guards.
     fn note_owned(&mut self, r: ObjRef, prior: RecWord) {
-        let slot = self.heap.slot_of(r);
-        debug_assert!(!self.owned.contains_key(&slot), "double acquisition of one slot");
-        self.owned.insert(slot, (r, prior));
-        if let Some(d) = &self.desc {
-            d.note_acquired(r, prior);
+        let key = self.heap.slot_of(r);
+        debug_assert!(self.prior_of(r).is_none(), "double acquisition of one slot");
+        self.owned.push(Owned { key, obj: r, prior });
+        if self.mirror {
+            // SAFETY: this attempt is live in its slot, so its thread is the
+            // recovery log's only accessor.
+            unsafe { self.slot.with_log(|log| log.note_acquired(r, prior)) };
         }
     }
 
-    /// Whether this transaction owns the guard slot of `r`.
+    /// Whether this transaction owns the guard slot of `r`: the guard word
+    /// names this attempt.
     pub(crate) fn owns(&self, r: ObjRef) -> bool {
-        self.owned.contains_key(&self.heap.slot_of(r))
+        self.heap.guard(r, self.heap.obj(r)).load().owned_by(self.owner)
     }
 
-    /// Mirrors an undo-log append into the watchdog descriptor (eager
+    /// The shared word displaced when this attempt acquired the guard slot
+    /// of `r`, if it did.
+    fn prior_of(&self, r: ObjRef) -> Option<RecWord> {
+        let key = self.heap.slot_of(r);
+        self.owned.iter().find(|o| o.key == key).map(|o| o.prior)
+    }
+
+    /// Mirrors an undo-log append into the slot's recovery log (eager
     /// engine; called before the in-place store so the recovery data is
     /// never behind shared memory).
     pub(crate) fn note_undo(&self, entry: SpanEntry) {
-        if let Some(d) = &self.desc {
-            d.note_undo(entry);
+        if self.mirror {
+            // SAFETY: as in `note_owned`.
+            unsafe { self.slot.with_log(|log| log.note_undo(entry)) };
         }
     }
 
@@ -692,8 +727,8 @@ impl<'h> TxnCore<'h> {
                 continue;
             }
             if cur.owned_by(self.owner) {
-                match self.owned.get(&self.heap.slot_of(r)) {
-                    Some((_, prior)) if prior.version() == logged.version() => continue,
+                match self.prior_of(r) {
+                    Some(prior) if prior.version() == logged.version() => continue,
                     _ => return false,
                 }
             }
@@ -708,9 +743,8 @@ impl<'h> TxnCore<'h> {
     /// success.
     pub(crate) fn validate(&mut self) -> TxResult<()> {
         if self.read_set_valid() {
-            if let Some(idx) = self.slot {
-                self.heap
-                    .txn_slot(idx)
+            if self.heap.config.quiescence {
+                self.slot
                     .vserial
                     .store(self.heap.serial.load(Ordering::Acquire), Ordering::Release);
             }
@@ -782,7 +816,7 @@ impl<'h> TxnCore<'h> {
         // The guard word we displaced at acquisition carries the slot's
         // last release stamp — the record version *is* the commit stamp
         // now — so the check needs no side table and no extra load.
-        for (_, prior) in self.owned.values() {
+        for &Owned { prior, .. } in &self.owned {
             charge(CostKind::TxnValidateEntry);
             if prior.version() as u64 > self.rv {
                 // GV5 healing: under the thread-local clock a stamp can run
@@ -877,8 +911,8 @@ impl<'h> TxnCore<'h> {
                 if self.heap.is_private(e.obj) {
                     continue;
                 }
-                let prev = match self.owned.get(&self.heap.slot_of(e.obj)) {
-                    Some(&(_, prior)) => prior.version() as u64,
+                let prev = match self.prior_of(e.obj) {
+                    Some(prior) => prior.version() as u64,
                     // Written while private and published without the
                     // guard landing (best-effort acquisition): no sound
                     // valid-since stamp, so seed nothing.
@@ -960,7 +994,7 @@ impl<'h> TxnCore<'h> {
         }
         let wv = self.wv;
         let mut released_max = 0u64;
-        for (_, (r, prior)) in self.owned.drain() {
+        for Owned { obj: r, prior, .. } in self.owned.drain(..) {
             if charge_entries {
                 charge(CostKind::TxnCommitEntry);
             }
@@ -977,7 +1011,7 @@ impl<'h> TxnCore<'h> {
     /// commit failure before any write-back: no values changed, so versions
     /// must not change either).
     pub(crate) fn restore_owned(&mut self) {
-        for (_, (r, prior)) in self.owned.drain() {
+        for Owned { obj: r, prior, .. } in self.owned.drain(..) {
             self.heap.guard(r, self.heap.obj(r)).restore(prior);
         }
     }
@@ -1006,23 +1040,17 @@ impl<'h> TxnCore<'h> {
             h();
         }
         self.heap.hit(SyncPoint::TxnCommitted);
-        if let Some(idx) = self.slot.take() {
-            // A committer that published no writes exposed nothing a doomed
-            // transaction could have observed, so it finishes its slot
-            // without the committer-side quiescence wait (the empty-write-
-            // set short-circuit; also the wait-free read-only commit).
-            let wrote = !self.spans.is_empty() || !self.private_writes.is_empty();
-            // The commit is past its serialization point, so the deadline
-            // can no longer abort it — what is left of the wait budget
-            // merely caps the residual quiescence wait (the caller opted
-            // into progress over ordering strength).
-            let wait_cap = self
-                .policy
-                .wait_budget
-                .map(|b| b.saturating_sub(self.telem.wait_rounds));
-            quiesce::finish_and_quiesce(self.heap, idx, wrote, wait_cap);
-            self.heap.retire_txn_slot(idx);
-        }
+        // A committer that published no writes exposed nothing a doomed
+        // transaction could have observed, so it finishes its slot without
+        // the committer-side quiescence wait (the empty-write-set
+        // short-circuit; also the wait-free read-only commit).
+        let wrote = !self.spans.is_empty() || !self.private_writes.is_empty();
+        // The commit is past its serialization point, so the deadline can no
+        // longer abort it — what is left of the wait budget merely caps the
+        // residual quiescence wait (the caller opted into progress over
+        // ordering strength).
+        let wait_cap = self.policy.wait_budget.map(|b| b.saturating_sub(self.telem.wait_rounds));
+        self.finish_slot(wrote, wait_cap);
         self.clear();
     }
 
@@ -1036,20 +1064,30 @@ impl<'h> TxnCore<'h> {
         }
         charge(CostKind::TxnAbort);
         self.heap.stats.abort();
-        if let Some(idx) = self.slot.take() {
-            quiesce::finish_and_quiesce(self.heap, idx, false, None);
-            self.heap.retire_txn_slot(idx);
-        }
+        self.finish_slot(false, None);
         self.clear();
+    }
+
+    /// Hands the registry slot back: retires this attempt's token (it never
+    /// names a live attempt again), then, under quiescence, marks the slot
+    /// finished at a fresh serialization point and — after a commit that
+    /// wrote — waits out lagging transactions; otherwise just deactivates
+    /// it. A parked slot stays parked for this thread's next attempt. Every
+    /// record this attempt held is already released.
+    fn finish_slot(&mut self, wrote: bool, wait_cap: Option<u32>) {
+        let Some(idx) = self.slot_idx.take() else { return };
+        self.slot.retire(self.owner);
+        if self.heap.config.quiescence {
+            quiesce::finish_and_quiesce(self.heap, idx, wrote, wait_cap);
+        } else {
+            self.slot.active.store(false, Ordering::Release);
+        }
+        self.heap.retire_txn_slot(idx);
     }
 
     /// Tears down bookkeeping and returns the emptied containers to the
     /// thread-local scratch pool (capacities intact).
     fn clear(&mut self) {
-        self.heap.retire_age(self.owner);
-        if self.desc.take().is_some() {
-            self.heap.liveness_deregister(self.owner);
-        }
         self.read_set.clear();
         self.owned.clear();
         self.on_abort.clear();

@@ -67,13 +67,12 @@ pub(crate) fn finish_and_quiesce(heap: &Heap, idx: usize, committed: bool, wait_
             // A slot whose owner died mid-flight (panic with panic safety
             // off) will never reach another consistent state; its doomed
             // reads can no longer be acted on, so the committer skips it.
-            // "Dead" here means *not registered alive*: watchdog reclamation
-            // removes an owner from the liveness map entirely, and waiting
-            // on a reclaimed owner's slot would hang forever. Live owners
-            // are never mistaken for dead ones because `TxnCore::begin`
-            // registers liveness before publishing the owner word.
-            let ow = other.owner.load(Ordering::Acquire);
-            if ow != 0 && heap.config.watchdog.enabled && !heap.owner_known_live(ow) {
+            // "Dead" here means *not registered alive*: a reclaimed owner is
+            // retired, and waiting on its slot would hang forever. Live
+            // owners are never mistaken for dead ones because the slot
+            // registers its owner alive before it is marked active.
+            let (ow, live) = other.holder();
+            if heap.config.watchdog.enabled && !live {
                 break;
             }
             // A slot owned by an *enclosing* transaction of this thread
@@ -108,10 +107,10 @@ mod tests {
     #[test]
     fn abort_does_not_wait() {
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
+        let (mine, _) = heap.claim_txn_slot(0, 0);
         // Another transaction is active and behind — an abort must not wait
         // for it.
-        let _other = heap.claim_txn_slot(0);
+        let _other = heap.claim_txn_slot(0, 0);
         finish_and_quiesce(&heap, mine, false, None);
         assert!(!heap.txn_slot(mine).active.load(Ordering::Acquire));
         assert_eq!(heap.stats().snapshot().quiescence_waits, 0);
@@ -120,8 +119,8 @@ mod tests {
     #[test]
     fn commit_waits_for_lagging_txn() {
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
-        let other = heap.claim_txn_slot(0);
+        let (mine, _) = heap.claim_txn_slot(0, 0);
+        let (other, _) = heap.claim_txn_slot(0, 0);
 
         let heap2 = Arc::clone(&heap);
         let committer = std::thread::spawn(move || {
@@ -143,8 +142,8 @@ mod tests {
         // committer carries a wait cap: it stops waiting (the commit stands)
         // instead of hanging forever.
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
-        let _laggard = heap.claim_txn_slot(0);
+        let (mine, _) = heap.claim_txn_slot(0, 0);
+        let _laggard = heap.claim_txn_slot(0, 0);
         finish_and_quiesce(&heap, mine, true, Some(3));
         assert!(!heap.txn_slot(mine).active.load(Ordering::Acquire));
         assert!(heap.stats().snapshot().quiescence_waits > 0, "it did wait first");
@@ -153,8 +152,8 @@ mod tests {
     #[test]
     fn commit_skips_inactive_slots() {
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
-        let other = heap.claim_txn_slot(0);
+        let (mine, _) = heap.claim_txn_slot(0, 0);
+        let (other, _) = heap.claim_txn_slot(0, 0);
         heap.txn_slot(other).active.store(false, Ordering::Release);
         finish_and_quiesce(&heap, mine, true, None); // returns immediately
     }
@@ -162,14 +161,12 @@ mod tests {
     #[test]
     fn commit_skips_dead_owner_slots() {
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
+        let (mine, _) = heap.claim_txn_slot(0, 0);
         // Another transaction is active, behind, and its owner has died
         // without deactivating the slot — the committer must not wait on it.
-        let other = heap.claim_txn_slot(0);
-        let dead = heap.fresh_owner();
-        heap.txn_slot(other).owner.store(dead.word(), Ordering::Release);
-        heap.liveness.register(dead);
-        heap.liveness.mark_dead(dead.word());
+        let (other, dead) = heap.claim_txn_slot(0, 0);
+        heap.owner_vanished(dead.word());
+        assert!(heap.owner_dead(dead.word()));
         finish_and_quiesce(&heap, mine, true, None); // returns immediately
         assert!(
             heap.txn_slot(other).active.load(Ordering::Acquire),
@@ -178,17 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_skips_reclaimed_owner_slots() {
-        // After watchdog reclamation the owner is *removed* from the
-        // liveness map (not just marked dead); the committer must still
-        // skip its stale slot rather than hang.
+    fn commit_skips_retired_owner_slots() {
+        // An owner retired while its slot still reads active — the state a
+        // reclaimer passes through — is not alive; the committer must skip
+        // its stale slot rather than hang.
         let heap = Heap::new(StmConfig { quiescence: true, ..StmConfig::default() });
-        let mine = heap.claim_txn_slot(0);
-        let other = heap.claim_txn_slot(0);
-        let gone = heap.fresh_owner();
-        heap.txn_slot(other).owner.store(gone.word(), Ordering::Release);
-        // `gone` was never registered (or was registered and later
-        // reclaimed) — either way it is not registered alive.
+        let (mine, _) = heap.claim_txn_slot(0, 0);
+        let (other, gone) = heap.claim_txn_slot(0, 0);
+        heap.txn_slot(other).retire(gone);
         finish_and_quiesce(&heap, mine, true, None); // returns immediately
         assert!(heap.txn_slot(other).active.load(Ordering::Acquire));
     }

@@ -15,8 +15,10 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
 
-const SEG0_BITS: u32 = 12; // first segment holds 4096 slots
-const NSEG: usize = (usize::BITS - SEG0_BITS) as usize;
+/// Default first-segment size: 4096 slots.
+const DEFAULT_SEG0_BITS: u32 = 12;
+/// Segment-pointer table length: enough segments for any first-segment size.
+const NSEG: usize = usize::BITS as usize;
 
 const SLOT_EMPTY: u8 = 0;
 const SLOT_READY: u8 = 1;
@@ -28,6 +30,11 @@ struct Slot<T> {
 
 /// A concurrent append-only vector with stable element addresses.
 ///
+/// The first segment holds `2^SEG0_BITS` slots and every later one doubles
+/// it. The default suits the object store; a table that usually stays tiny
+/// (the transaction registry, one slot per thread) picks a smaller start so
+/// its first segment stays a few cache lines.
+///
 /// # Examples
 /// ```
 /// use stm_core::segvec::SegVec;
@@ -35,7 +42,7 @@ struct Slot<T> {
 /// let i = v.push(7);
 /// assert_eq!(*v.get(i).unwrap(), 7);
 /// ```
-pub struct SegVec<T> {
+pub struct SegVec<T, const SEG0_BITS: u32 = DEFAULT_SEG0_BITS> {
     segments: Box<[AtomicPtr<Slot<T>>; NSEG]>,
     next: AtomicUsize,
 }
@@ -43,24 +50,32 @@ pub struct SegVec<T> {
 // SAFETY: slots are only written once (by the pushing thread before the
 // READY flag is released) and read immutably afterwards; the READY flag
 // provides the necessary happens-before edge.
-unsafe impl<T: Send + Sync> Sync for SegVec<T> {}
-unsafe impl<T: Send> Send for SegVec<T> {}
+unsafe impl<T: Send + Sync, const B: u32> Sync for SegVec<T, B> {}
+unsafe impl<T: Send, const B: u32> Send for SegVec<T, B> {}
 
 #[inline]
-fn locate(index: usize) -> (usize, usize, usize) {
-    // Segment k (0-based) holds 2^(SEG0_BITS + k) slots and starts at global
-    // index 2^(SEG0_BITS + k) - 2^SEG0_BITS.
-    let adj = index + (1usize << SEG0_BITS);
+fn locate(index: usize, seg0_bits: u32) -> (usize, usize, usize) {
+    // Segment k (0-based) holds 2^(seg0_bits + k) slots and starts at global
+    // index 2^(seg0_bits + k) - 2^seg0_bits.
+    let adj = index + (1usize << seg0_bits);
     let k = (usize::BITS - 1 - adj.leading_zeros()) as usize;
-    let seg = k - SEG0_BITS as usize;
+    let seg = k - seg0_bits as usize;
     let offset = adj - (1usize << k);
     let cap = 1usize << k;
     (seg, offset, cap)
 }
 
 impl<T> SegVec<T> {
-    /// Creates an empty vector. No segments are allocated until first push.
+    /// Creates an empty vector with the default first segment. No segments
+    /// are allocated until first push.
     pub fn new() -> Self {
+        Self::empty()
+    }
+}
+
+impl<T, const SEG0_BITS: u32> SegVec<T, SEG0_BITS> {
+    /// Creates an empty vector. No segments are allocated until first push.
+    pub fn empty() -> Self {
         // Can't use array literal init for non-Copy AtomicPtr at this size
         // without unstable features; build via Vec.
         let segs: Vec<AtomicPtr<Slot<T>>> =
@@ -118,7 +133,7 @@ impl<T> SegVec<T> {
     /// Appends a value, returning its permanent index.
     pub fn push(&self, value: T) -> usize {
         let index = self.next.fetch_add(1, Ordering::AcqRel);
-        let (seg, offset, cap) = locate(index);
+        let (seg, offset, cap) = locate(index, SEG0_BITS);
         let base = self.segment(seg, cap);
         // SAFETY: offset < cap by construction of `locate`; the slot is
         // exclusively ours because fetch_add hands out unique indices.
@@ -137,7 +152,7 @@ impl<T> SegVec<T> {
         if index >= self.len() {
             return None;
         }
-        let (seg, offset, _cap) = locate(index);
+        let (seg, offset, _cap) = locate(index, SEG0_BITS);
         let base = self.segments[seg].load(Ordering::Acquire);
         if base.is_null() {
             return None;
@@ -160,13 +175,13 @@ impl<T> SegVec<T> {
     }
 }
 
-impl<T> Default for SegVec<T> {
+impl<T, const B: u32> Default for SegVec<T, B> {
     fn default() -> Self {
-        Self::new()
+        Self::empty()
     }
 }
 
-impl<T> Drop for SegVec<T> {
+impl<T, const SEG0_BITS: u32> Drop for SegVec<T, SEG0_BITS> {
     fn drop(&mut self) {
         for (seg, slot_ptr) in self.segments.iter().enumerate() {
             let ptr = slot_ptr.load(Ordering::Acquire);
@@ -189,7 +204,7 @@ impl<T> Drop for SegVec<T> {
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for SegVec<T> {
+impl<T: std::fmt::Debug, const B: u32> std::fmt::Debug for SegVec<T, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegVec").field("len", &self.len()).finish()
     }
@@ -202,18 +217,29 @@ mod tests {
 
     #[test]
     fn locate_math() {
-        assert_eq!(locate(0), (0, 0, 4096));
-        assert_eq!(locate(4095), (0, 4095, 4096));
-        assert_eq!(locate(4096), (1, 0, 8192));
-        assert_eq!(locate(4096 + 8191), (1, 8191, 8192));
-        assert_eq!(locate(4096 + 8192), (2, 0, 16384));
+        assert_eq!(locate(0, 12), (0, 0, 4096));
+        assert_eq!(locate(4095, 12), (0, 4095, 4096));
+        assert_eq!(locate(4096, 12), (1, 0, 8192));
+        assert_eq!(locate(4096 + 8191, 12), (1, 8191, 8192));
+        assert_eq!(locate(4096 + 8192, 12), (2, 0, 16384));
         // Start index of segment k is contiguous with end of segment k-1.
-        let mut start = 0usize;
-        for k in 0..8 {
-            let (seg, off, cap) = locate(start);
-            assert_eq!((seg, off), (k, 0));
-            start += cap;
+        for bits in [2, 12] {
+            let mut start = 0usize;
+            for k in 0..8 {
+                let (seg, off, cap) = locate(start, bits);
+                assert_eq!((seg, off), (k, 0));
+                start += cap;
+            }
         }
+    }
+
+    #[test]
+    fn small_first_segment() {
+        let v: SegVec<usize, 2> = SegVec::empty();
+        for i in 0..100 {
+            assert_eq!(v.push(i), i);
+        }
+        assert_eq!(v.iter().copied().collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -158,10 +158,10 @@ pub(crate) fn token_is_active(word: usize) -> bool {
 
 /// Scope guard for one transaction attempt. Besides maintaining the
 /// per-thread token stack, its `Drop` doubles as the death oracle for the
-/// stuck-owner watchdog: a transaction that commits or aborts deregisters
-/// its owner first, so reaching `Drop` with the owner still registered
-/// means the attempt unwound mid-flight — the owner is marked dead and its
-/// records become reclaimable.
+/// stuck-owner watchdog: a transaction that commits or aborts retires its
+/// token in its registry slot first, so reaching `Drop` with the token still
+/// live there means the attempt unwound mid-flight — the owner is marked
+/// dead and its records become reclaimable.
 struct TokenGuard<'h> {
     heap: &'h Heap,
     token: usize,

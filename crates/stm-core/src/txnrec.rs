@@ -48,14 +48,30 @@ pub enum RecState {
     Private,
 }
 
-/// An opaque non-zero token identifying the transaction descriptor that owns
-/// a record in the [`RecState::Exclusive`] state.
+/// An opaque non-zero token identifying the transaction attempt that owns a
+/// record in the [`RecState::Exclusive`] state.
 ///
-/// The paper stores a pointer to the owning transaction's descriptor; we
-/// store a process-unique counter shifted left so the low three bits are
-/// zero, which satisfies the same encoding constraint (`x..xx00`).
+/// The paper stores a pointer to the owning transaction's descriptor. Here
+/// the descriptor is the attempt's slot in the heap's transaction registry,
+/// so the token's id is that slot's index (the low [`OWNER_SLOT_BITS`])
+/// plus the slot's generation (the upper [`OWNER_GEN_BITS`]), shifted left
+/// so the low three bits are zero — the same encoding constraint
+/// (`x..xx00`). Generations start at 1 and advance on every claim of the
+/// slot, so a token names one attempt and is never reissued while any
+/// record or waiter could still hold it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct OwnerToken(usize);
+
+/// Bits of an owner id naming the registry slot of the owning attempt.
+pub const OWNER_SLOT_BITS: u32 = 24;
+/// Bits of an owner id carrying the slot's generation: the rest of the 61
+/// bits above the record tag.
+pub const OWNER_GEN_BITS: u32 = usize::BITS - 3 - OWNER_SLOT_BITS;
+const _: () = assert!(
+    OWNER_SLOT_BITS + OWNER_GEN_BITS + 3 == usize::BITS && OWNER_GEN_BITS >= 32,
+    "owner ids split the 61 bits above the tag into slot index and generation"
+);
+const OWNER_SLOT_MASK: usize = (1 << OWNER_SLOT_BITS) - 1;
 
 impl OwnerToken {
     /// Creates a token from a non-zero descriptor id.
@@ -81,6 +97,41 @@ impl OwnerToken {
     #[inline]
     pub fn id(self) -> usize {
         self.0 >> 3
+    }
+
+    /// Reinterprets an owner-token word read out of shared memory. Only the
+    /// tag bits are dropped; the result names a slot and a generation that
+    /// need not exist.
+    #[inline]
+    pub(crate) fn from_word(word: usize) -> Self {
+        OwnerToken(word & !TAG_MASK)
+    }
+
+    /// The token of generation `generation` of registry slot `slot`.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if `slot` or `generation` overflows its
+    /// field, or `generation` is zero.
+    #[inline]
+    pub fn for_slot(slot: usize, generation: usize) -> Self {
+        debug_assert!(slot <= OWNER_SLOT_MASK, "slot index overflows the owner id");
+        debug_assert!(
+            generation != 0 && generation < 1 << OWNER_GEN_BITS,
+            "generation out of range"
+        );
+        OwnerToken(((generation << OWNER_SLOT_BITS) | slot) << 3)
+    }
+
+    /// The registry slot index encoded in this token.
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.id() & OWNER_SLOT_MASK
+    }
+
+    /// The slot generation encoded in this token.
+    #[inline]
+    pub fn generation(self) -> usize {
+        self.id() >> OWNER_SLOT_BITS
     }
 }
 
@@ -506,6 +557,19 @@ mod tests {
             assert!(w.owned_by(t));
             assert!(!w.owned_by(OwnerToken::from_id(id + 1)));
         }
+    }
+
+    #[test]
+    fn owner_token_splits_slot_and_generation() {
+        let top_gen = (1 << OWNER_GEN_BITS) - 1;
+        for (slot, gen) in [(0, 1), (7, 3), (OWNER_SLOT_MASK, 1), (0, top_gen), (OWNER_SLOT_MASK, top_gen)] {
+            let t = OwnerToken::for_slot(slot, gen);
+            assert_eq!((t.slot(), t.generation()), (slot, gen));
+            assert!(RecWord::exclusive(t).is_txn_exclusive());
+            assert_ne!(t.word(), 0);
+        }
+        assert_ne!(OwnerToken::for_slot(5, 1), OwnerToken::for_slot(5, 2));
+        assert_ne!(OwnerToken::for_slot(5, 1), OwnerToken::for_slot(6, 1));
     }
 
     #[test]

@@ -189,10 +189,8 @@ fn steady_state_lifecycle_is_allocation_free() {
         let heap = quiescent_heap(versioning);
         let obj = alloc_counter(&heap);
 
-        // Warm-up: prime the scratch/descriptor pools, park a quiescence
-        // slot in this thread's cache, and give every liveness/age shard
-        // map its capacity (owner words advance each transaction, so 4096
-        // iterations visit all shards).
+        // Warm-up: prime the scratch pool, park a registry slot in this
+        // thread's cache, and grow its recovery log to capacity.
         for _ in 0..4096 {
             atomic(&heap, |tx| {
                 let v = tx.read(obj, 0)?;
@@ -258,8 +256,8 @@ proptest! {
 
     /// Any single-threaded mix of committing and cancelled transactions —
     /// across engines and granularities, quiescence and watchdog on —
-    /// leaves the audit clean (no stranded-active slot, no leaked owner
-    /// descriptor) and the slot table at its single-thread bound.
+    /// leaves the audit clean (no stranded-active slot, no dead owner left
+    /// in a slot) and the slot table at its single-thread bound.
     #[test]
     fn slot_reuse_preserves_liveness_and_audit(
         ops in prop::collection::vec((any::<bool>(), 0usize..4, any::<u8>()), 1..40),
