@@ -1764,7 +1764,8 @@ fn vm_engine_run(
 ///
 /// # Panics
 /// Panics if the barrier passes fail to strictly reduce executed barriers,
-/// or (release builds only) if the VM is not at least 2x the interpreter
+/// if they raise any workload's simulated cycles at any scale, or (release
+/// builds only) if the VM is not at least 2x the interpreter
 /// on the interpreter-bound jvm98 suite at the largest scale.
 pub fn vm(scale: u32, dir: &Path) -> io::Result<String> {
     let top = scale.max(1);
@@ -1811,6 +1812,21 @@ pub fn vm(scale: u32, dir: &Path) -> io::Result<String> {
     .unwrap();
     table.emit(dir, &mut out)?;
 
+    // No pass may make a program cost more than it did without passes.
+    for row in table.rows().filter(|r| r.text("engine") == "vm+passes") {
+        let (name, s) = (row.text("workload"), row.int("scale"));
+        let plain = table
+            .rows()
+            .find(|r| r.int("scale") == s && r.text("workload") == name && r.text("engine") == "vm")
+            .expect("every workload runs on every engine");
+        assert!(
+            row.int("sim_cycles") <= plain.int("sim_cycles"),
+            "{name} at scale {s}: vm+passes costs more sim cycles than vm: {} > {}",
+            row.int("sim_cycles"),
+            plain.int("sim_cycles")
+        );
+    }
+
     // Acceptance readouts, evaluated at the largest scale.
     let at_top = |r: &Row<'_>| r.int("scale") == u64::from(top);
     let wall = |w: &str, e: &str| {
@@ -1847,7 +1863,8 @@ pub fn vm(scale: u32, dir: &Path) -> io::Result<String> {
     }
     writeln!(
         out,
-        "(acceptance: vm+passes executes strictly fewer barriers than vm; the\n\
+        "(acceptance: vm+passes executes strictly fewer barriers than vm and\n\
+         costs no more sim cycles on any workload at any scale; the\n\
          interpreter-bound jvm98 suite runs >= 2x faster on the bytecode VM)"
     )
     .unwrap();

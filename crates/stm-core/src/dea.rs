@@ -55,15 +55,14 @@ pub fn publish_with(heap: &Heap, root: ObjRef, on_published: &mut dyn FnMut(ObjR
     let mut stack = vec![root];
     while let Some(o) = stack.pop() {
         let obj = heap.obj(o);
-        let ref_slots: Box<dyn Iterator<Item = usize>> = match obj.kind {
-            Kind::Object(shape) => {
-                let shape = heap.shape(shape);
-                Box::new(shape.ref_fields.clone().into_iter().map(|i| i as usize))
-            }
-            Kind::RefArray => Box::new(0..obj.fields.len()),
-            Kind::IntArray => Box::new(0..0),
+        // An object's reference slots come from its shape, every slot of a
+        // reference array is one, an integer array has none.
+        let (ref_fields, array_len): (&[u32], usize) = match obj.kind {
+            Kind::Object(shape) => (&heap.shape(shape).ref_fields, 0),
+            Kind::RefArray => (&[], obj.fields.len()),
+            Kind::IntArray => (&[], 0),
         };
-        for slot in ref_slots {
+        for slot in ref_fields.iter().map(|&i| i as usize).chain(0..array_len) {
             // The object graph below `o` is private to this thread, so a
             // relaxed read observes the thread's own writes.
             let word = obj.field(slot).load(Ordering::Relaxed);

@@ -24,7 +24,7 @@ use crate::contention::ConflictSite;
 use crate::cost::{charge, CostKind};
 use crate::dea;
 use crate::fault::{self, FaultSite};
-use crate::heap::{Heap, ObjRef, Word};
+use crate::heap::{Heap, Obj, ObjRef, Word};
 use crate::pipeline::{Acquired, AttemptPolicy, CoreMark, ReadKind, SpanEntry, TxnCore, MAX_SPAN};
 use crate::stats::TxnTelemetry;
 use crate::syncpoint::SyncPoint;
@@ -72,25 +72,25 @@ impl<'h> EagerTxn<'h> {
         Ok(val)
     }
 
-    /// Acquires `r` for writing and logs the undo span for `field`.
-    fn open_write(&mut self, r: ObjRef, field: usize) -> TxResult<()> {
+    /// Acquires `r` (whose object is `obj`) for writing and logs the undo
+    /// span for `field`.
+    fn open_write(&mut self, r: ObjRef, obj: &Obj, field: usize) -> TxResult<()> {
         self.core.ro_write_guard()?;
         self.core.write_preamble()?;
         match self
             .core
-            .acquire_for_write(r, ConflictSite::TxnWrite, CostKind::TxnOpenWrite)?
+            .acquire_for_write(r, obj, ConflictSite::TxnWrite, CostKind::TxnOpenWrite)?
         {
             Acquired::Private => {
                 self.core.private_writes.insert(r);
             }
             Acquired::Held => {}
         }
-        self.log_undo(r, field);
+        self.log_undo(r, obj, field);
         Ok(())
     }
 
-    fn log_undo(&mut self, r: ObjRef, field: usize) {
-        let obj = self.heap().obj(r);
+    fn log_undo(&mut self, r: ObjRef, obj: &Obj, field: usize) {
         let span = self.heap().config.version_granularity.span(field, obj.fields.len());
         let mut vals = [0u64; MAX_SPAN];
         for (i, f) in span.clone().enumerate() {
@@ -109,9 +109,9 @@ impl<'h> EagerTxn<'h> {
     /// Transactional write: acquire, undo-log, update in place, publish
     /// escaping references immediately (doomed-transaction rule, paper §4).
     pub(crate) fn write(&mut self, r: ObjRef, field: usize, value: Word) -> TxResult<()> {
-        self.open_write(r, field)?;
         let heap = self.heap();
         let obj = heap.obj(r);
+        self.open_write(r, obj, field)?;
         let obj_private = obj.rec.load_relaxed().is_private();
         if !obj_private && heap.config.dea && heap.slot_is_ref(obj.kind, field) {
             self.publish_escaping(value);

@@ -614,6 +614,11 @@ impl Drop for SerialGuard<'_> {
     }
 }
 
+/// First segment of the shape table: 16 shapes. Programs declare a handful
+/// of classes, and some callers build a fresh heap per run, so the default
+/// 4096-slot segment would be mostly dead weight.
+const SHAPE_SEG0_BITS: u32 = 4;
+
 /// The shared transactional heap.
 ///
 /// # Examples
@@ -643,7 +648,12 @@ pub struct Heap {
     /// code reaches records through [`Heap::guard`] / [`Heap::guard_load`],
     /// which is what makes the engines granularity-agnostic.
     pub(crate) table: RecordTable,
-    shapes: RwLock<Vec<Arc<Shape>>>,
+    /// Registered shapes, indexed by [`ShapeId`]. Append-only and read
+    /// without a lock: the write and aggregate barriers, the eager write and
+    /// every allocation borrow a shape from here.
+    shapes: SegVec<Shape, SHAPE_SEG0_BITS>,
+    /// Name → id. Its write lock serializes [`Heap::define_shape`], which
+    /// keeps ids dense and names unique; no hot path takes it.
     shape_names: RwLock<HashMap<String, ShapeId>>,
     pub(crate) config: StmConfig,
     pub(crate) stats: Stats,
@@ -715,7 +725,7 @@ impl Heap {
             self_weak: weak.clone(),
             store: SegVec::new(),
             table,
-            shapes: RwLock::new(Vec::new()),
+            shapes: SegVec::empty(),
             shape_names: RwLock::new(HashMap::new()),
             config,
             stats: Stats::new(),
@@ -942,10 +952,9 @@ impl Heap {
             "shape {:?} already defined",
             shape.name
         );
-        let mut shapes = self.shapes.write();
-        let id = ShapeId(shapes.len() as u32);
-        names.insert(shape.name.clone(), id);
-        shapes.push(Arc::new(shape));
+        let name = shape.name.clone();
+        let id = ShapeId(self.shapes.push(shape) as u32);
+        names.insert(name, id);
         id
     }
 
@@ -958,8 +967,11 @@ impl Heap {
     ///
     /// # Panics
     /// Panics if `id` was not issued by this heap.
-    pub fn shape(&self, id: ShapeId) -> Arc<Shape> {
-        Arc::clone(&self.shapes.read()[id.0 as usize])
+    #[inline]
+    pub fn shape(&self, id: ShapeId) -> &Shape {
+        self.shapes
+            .get(id.0 as usize)
+            .expect("ShapeId was issued by this heap")
     }
 
     fn fresh_record(&self, force_public: bool) -> TxnRecord {
@@ -1437,6 +1449,82 @@ mod tests {
     }
 
     #[test]
+    fn shape_table_grows_lock_free_under_concurrent_use() {
+        // Definers push enough shapes to cross the first segment while
+        // readers allocate the shapes defined so far and check ref-ness.
+        const DEFINERS: usize = 3;
+        const READERS: usize = 3;
+        const PER: usize = 40;
+        let name = |t: usize, k: usize| format!("D{t}_{k}");
+        let heap = Heap::new(StmConfig::default());
+        let seed = heap.define_shape(Shape::new(
+            "Seed",
+            vec![FieldDef::int("v"), FieldDef::reference("next")],
+        ));
+        let seed_shape: *const Shape = heap.shape(seed);
+        let defined = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(READERS + DEFINERS);
+        let ids: Vec<(String, ShapeId)> = std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let finished = defined.load(Ordering::Acquire) == DEFINERS;
+                        let o = heap.alloc(seed);
+                        assert!(!heap.field_is_ref(o, 0) && heap.field_is_ref(o, 1));
+                        for t in 0..DEFINERS {
+                            for k in 0..PER {
+                                let Some(id) = heap.shape_id(&name(t, k)) else { continue };
+                                let o = heap.alloc(id);
+                                assert_eq!(heap.shape(id).name, name(t, k));
+                                assert!(!heap.field_is_ref(o, 0));
+                                assert_eq!(heap.field_is_ref(o, 1), k % 2 == 1);
+                            }
+                        }
+                        if finished {
+                            break;
+                        }
+                    }
+                });
+            }
+            let definers: Vec<_> = (0..DEFINERS)
+                .map(|t| {
+                    let (heap, defined, start) = (&heap, &defined, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let ids: Vec<_> = (0..PER)
+                            .map(|k| {
+                                let second = if k % 2 == 1 {
+                                    FieldDef::reference("b")
+                                } else {
+                                    FieldDef::int("b")
+                                };
+                                let fields = vec![FieldDef::int("a"), second];
+                                (name(t, k), heap.define_shape(Shape::new(&name(t, k), fields)))
+                            })
+                            .collect();
+                        defined.fetch_add(1, Ordering::Release);
+                        ids
+                    })
+                })
+                .collect();
+            definers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let mut dense: Vec<u32> = ids.iter().map(|(_, id)| id.0).collect();
+        dense.sort_unstable();
+        assert_eq!(dense, (1..=(DEFINERS * PER) as u32).collect::<Vec<_>>(), "dense, unique ids");
+        for (n, id) in &ids {
+            assert_eq!(heap.shape_id(n), Some(*id));
+            assert_eq!(&heap.shape(*id).name, n);
+        }
+        assert_eq!(heap.shape_id("Seed"), Some(seed));
+        assert!(
+            std::ptr::eq(heap.shape(seed), seed_shape),
+            "a borrowed shape does not move when the table grows"
+        );
+    }
+
+    #[test]
     fn cas_raw_works() {
         let heap = Heap::new(StmConfig::default());
         let a = heap.alloc_int_array(1);
@@ -1491,9 +1579,9 @@ mod tests {
     #[test]
     fn clock_counter_has_a_line_of_its_own() {
         // Every committing writer RMWs the clock counter; every open and
-        // barrier reads `config` and `store`. The 128-byte block (an
-        // adjacent-line prefetch pair) holding the counter must hold
-        // neither.
+        // barrier reads `config` and `store`, every public write `shapes`.
+        // The 128-byte block (an adjacent-line prefetch pair) holding the
+        // counter must hold none of them.
         let heap = Heap::new(StmConfig::default());
         let clock = heap.clock.counter_addr();
         assert_eq!(clock % 128, 0, "clock counter is not 128-byte aligned");
@@ -1501,6 +1589,11 @@ mod tests {
         let fields = [
             ("config", &heap.config as *const StmConfig as usize, std::mem::size_of::<StmConfig>()),
             ("store", &heap.store as *const SegVec<Obj> as usize, std::mem::size_of::<SegVec<Obj>>()),
+            (
+                "shapes",
+                &heap.shapes as *const SegVec<Shape, SHAPE_SEG0_BITS> as usize,
+                std::mem::size_of::<SegVec<Shape, SHAPE_SEG0_BITS>>(),
+            ),
         ];
         for (name, start, len) in fields {
             assert!(

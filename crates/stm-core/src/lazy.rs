@@ -174,9 +174,12 @@ impl<'h> LazyTxn<'h> {
             }
             // `Acquired::Private` ⇒ still private ⇒ still ours alone; no
             // lock needed. `Held` ⇒ the slot is now ours.
-            if let Err(abort) =
-                self.core.acquire_for_write(r, ConflictSite::TxnCommit, CostKind::TxnCommitEntry)
-            {
+            if let Err(abort) = self.core.acquire_for_write(
+                r,
+                heap.obj(r),
+                ConflictSite::TxnCommit,
+                CostKind::TxnCommitEntry,
+            ) {
                 self.core.restore_owned();
                 self.abort();
                 return Err(abort);

@@ -47,7 +47,7 @@ use crate::config::{ClockMode, IsolationLevel};
 use crate::contention::{resolve_with, ConflictSite};
 use crate::cost::{backoff_wait, charge, CostKind};
 use crate::fault::{self, FaultSite};
-use crate::heap::{Heap, ObjRef, TxnSlot, Word};
+use crate::heap::{Heap, Obj, ObjRef, TxnSlot, Word};
 use crate::quiesce;
 use crate::stats::TxnTelemetry;
 use crate::syncpoint::SyncPoint;
@@ -607,14 +607,15 @@ impl<'h> TxnCore<'h> {
 
     /// The acquire-for-write CAS loop (paper Figure 8, "CAS" edge), shared
     /// by the eager open-for-write and the lazy commit-time acquisition.
-    /// `site` distinguishes them in the contention telemetry.
+    /// `site` distinguishes them in the contention telemetry. `obj` is
+    /// `r`'s object, resolved once by the caller (one lookup per open).
     pub(crate) fn acquire_for_write(
         &mut self,
         r: ObjRef,
+        obj: &Obj,
         site: ConflictSite,
         cost: CostKind,
     ) -> TxResult<Acquired> {
-        let obj = self.heap.obj(r);
         let mut attempt = 0u32;
         loop {
             let rec = self.heap.guard_load(r, obj);

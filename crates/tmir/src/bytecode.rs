@@ -426,13 +426,21 @@ struct Region {
     last: usize,
     slot: u16,
     accesses: usize,
+    /// Whether the run contains a `PutField`.
+    writes: bool,
 }
 
 /// The Figure-14 peephole: find maximal straight-line runs of ≥2 barriered
-/// field accesses anchored to one local, rewrite their opcodes to
-/// [`BarrierOp::AggRead`]/[`BarrierOp::AggWrite`], and bracket the run with
-/// [`Insn::AggBegin`]/[`Insn::AggEnd`] so the object's record is acquired
-/// once for the whole run.
+/// field accesses anchored to one local, at least one of them a write,
+/// rewrite their opcodes to [`BarrierOp::AggRead`]/[`BarrierOp::AggWrite`],
+/// and bracket the run with [`Insn::AggBegin`]/[`Insn::AggEnd`] so the
+/// object's record is acquired once for the whole run.
+///
+/// An all-read run stays per-access: a region takes the record
+/// exclusively and releases it at a fresh version, which costs more than
+/// the read barriers it would replace and fails every concurrent reader's
+/// validation. Figure 14 amortizes the write barrier's atomic update, which
+/// a read-only run does not have.
 ///
 /// Basic-block safety is enforced on the instruction stream itself: jump
 /// instructions *and jump-target instructions* break runs (so control never
@@ -463,7 +471,7 @@ fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
     let mut atomic_depth = 0usize;
     let close = |run: &mut Option<Region>, regions: &mut Vec<Region>| {
         if let Some(r) = run.take() {
-            if r.accesses >= 2 {
+            if r.accesses >= 2 && r.writes {
                 regions.push(r);
             }
         }
@@ -484,14 +492,22 @@ fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
             | Insn::PutField { barrier, base: Some(b), .. }
                 if barrier.is_barriered() =>
             {
+                let write = matches!(insn, Insn::PutField { .. });
                 match &mut run {
                     Some(r) if r.slot == *b => {
                         r.last = i;
                         r.accesses += 1;
+                        r.writes |= write;
                     }
                     _ => {
                         close(&mut run, &mut regions);
-                        run = Some(Region { first: i, last: i, slot: *b, accesses: 1 });
+                        run = Some(Region {
+                            first: i,
+                            last: i,
+                            slot: *b,
+                            accesses: 1,
+                            writes: write,
+                        });
                     }
                 }
             }

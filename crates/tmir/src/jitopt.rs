@@ -242,7 +242,7 @@ pub fn non_escaping_locals(func: &FuncDecl) -> HashSet<String> {
 /// Pass 3: barrier aggregation (paper Figure 14).
 ///
 /// Rewrites maximal straight-line runs of ≥2 barriered field accesses to a
-/// single local object into [`Stmt::AggregatedRegion`]s and clears the
+/// single local object, at least one of them a write, into [`Stmt::AggregatedRegion`]s and clears the
 /// individual site barriers (the region performs one acquire/release).
 /// Mirrors the paper's constraints: one object, no calls, no control flow,
 /// never across basic blocks, and never inside `atomic` (transactional code
@@ -311,7 +311,10 @@ fn aggregate_block(
         sites: &mut usize,
         regions: &mut usize,
     ) {
-        if run_sites.len() >= 2 {
+        // Only runs containing a write: an all-read region would take the
+        // record exclusively to replace cheaper read barriers.
+        let writes = run_sites.iter().any(|s| table.kind(*s) == BarrierKind::Write);
+        if run_sites.len() >= 2 && writes {
             for s in run_sites.iter() {
                 table.set(*s, BarrierKind::None);
             }

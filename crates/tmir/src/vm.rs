@@ -1050,6 +1050,34 @@ mod tests {
     }
 
     #[test]
+    fn aggregation_requires_a_write() {
+        // Two reads of one base stay per-access read barriers; one store in
+        // the same run makes all three a region.
+        let aggregate = |body: &str| {
+            let src = format!(
+                "class A {{ x: int, y: int }}\n\
+                 fn work(a: ref A) -> int {{ {body} }}\n\
+                 fn main() {{ let a: ref A = new A; print work(a); }}"
+            );
+            let c = checked(&src);
+            let table = BarrierTable::strong(&c.program);
+            let mut cp = compile(&c, &table);
+            let report = optimize(
+                &mut cp,
+                PassOptions { immutable: false, escape: false, aggregate: true },
+            );
+            let r = BytecodeVm::new(cp, BcVmConfig::default()).run().unwrap();
+            (report.regions, report.aggregated_sites, r.output)
+        };
+        assert_eq!(aggregate("return a.x + a.y;"), (0, 0, vec![0]), "reads stay unfused");
+        assert_eq!(
+            aggregate("a.x = 2; return a.x + a.y;"),
+            (1, 3, vec![2]),
+            "one store makes the run a region"
+        );
+    }
+
+    #[test]
     fn aggregation_breaks_on_store_to_base() {
         // Repointing the anchor local mid-run must not be fused: the second
         // access targets a different object than the region would own.
@@ -1069,7 +1097,8 @@ mod tests {
             &mut cp,
             PassOptions { immutable: false, escape: false, aggregate: true },
         );
-        assert_eq!(report.regions, 2, "only main's two print statements fuse");
+        // main's prints only read; work()'s two halves hold one access each.
+        assert_eq!(report.regions, 0, "no run qualifies for a region");
         let work = cp.func("work").unwrap();
         assert!(
             !work.code.iter().any(|i| matches!(i, Insn::AggBegin { .. })),
